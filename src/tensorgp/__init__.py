@@ -15,7 +15,6 @@ from .distributions import (
     sample_tensor_normal,
     sample_tensor_t,
     std_normal_cdf,
-    std_normal_pdf,
     tensor_normal_logpdf,
     tensor_t_logpdf,
     truncated_normal_mean,
@@ -44,7 +43,7 @@ from .inference import (
     optimize_factors,
     trace_sigma_inv_upsilon,
 )
-from .kernels import KernelSpec, SpectralGram, gram_matrix, kernel_eval, truncated_spectrum
+from .kernels import KernelSpec, SpectralGram, gram_matrix
 from .prediction import (
     PredictiveMoments,
     cross_covariance,
@@ -54,16 +53,6 @@ from .prediction import (
     predictive_moments,
 )
 from .tensorio import load_model, parse_config, read_tensor, save_model, write_tensor
-from .tensors import (
-    devectorize,
-    frobenius_norm_sq,
-    hadamard,
-    mode_k_product,
-    multi_index,
-    multi_mode_vector_contract,
-    tucker_multiply,
-    vec_index,
-    vectorize,
-)
+from .tensors import frobenius_norm_sq, mode_k_product, multi_index, multi_mode_vector_contract
 
 __version__ = "0.1.0"

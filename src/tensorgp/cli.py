@@ -105,31 +105,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _read_indices(path, dims) -> list[tuple[int, ...]]:
-    out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != len(dims):
-                raise TensorFormatError(
-                    f"line {lineno}: expected {len(dims)} indices, got {len(tokens)}"
-                )
-            try:
-                idx = tuple(int(t) for t in tokens)
-            except ValueError:
-                raise TensorFormatError(f"line {lineno}: malformed index line {line!r}") from None
-            for k, (i, d) in enumerate(zip(idx, dims)):
-                if not 1 <= i <= d:
-                    raise TensorFormatError(
-                        f"line {lineno}: index {i} out of range [1, {d}] in mode {k + 1}"
-                    )
-            out.append(idx)
-    return out
-
-
 def _cmd_predict(args) -> int:
     model = tensorio.load_model(args.model)
     dims = model.dims
@@ -139,7 +114,7 @@ def _cmd_predict(args) -> int:
         flat = np.flatnonzero(~model.mask.ravel())
         indices = [multi_index(j + 1, dims) for j in flat]
     else:
-        indices = _read_indices(args.indices, dims)
+        indices = tensorio.read_indices(args.indices, dims)
     moments = prediction.predict_batch(model, indices)
     with open(args.out, "w") as fh:
         for idx, m in zip(indices, moments):
@@ -199,3 +174,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -67,7 +67,7 @@ def _whiten(diff: np.ndarray, mode_grams: Sequence[SpectralGram]) -> np.ndarray:
 
 def _log_det_terms(dims: Sequence[int], mode_grams: Sequence[SpectralGram]) -> float:
     """sum_k (n / n_k) * log|S_k| from the per-mode spectra."""
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     return sum(n / sg.size * float(np.sum(np.log(sg.eigvals))) for sg in mode_grams)
 
 
@@ -174,12 +174,6 @@ def sample_finite_tucker(
     for k, f in enumerate(maps):
         out = mode_k_product(out, f, k + 1)
     return out
-
-
-def std_normal_pdf(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_cdf(x):

@@ -56,8 +56,6 @@ class ExperimentSpec:
     max_em_iters: int = 50
     em_rel_tol: float = 1e-4
     mstep_max_iters: int = 50
-    truncation_energy: float = 1.0
-    n_restarts: int = 1
 
     def __post_init__(self):
         if self.generator not in GENERATORS:
@@ -235,8 +233,6 @@ def _model_config(spec: ExperimentSpec, gamma: float, lam: float, rank: int, see
         em_rel_tol=spec.em_rel_tol,
         mstep_max_iters=spec.mstep_max_iters,
         seed=seed,
-        truncation_energy=spec.truncation_energy,
-        n_restarts=spec.n_restarts,
     )
 
 

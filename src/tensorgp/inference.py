@@ -47,9 +47,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import digamma, gammaln, log_ndtr
 
-from .distributions import LOG_2PI, truncated_normal_mean
+from .distributions import LOG_2PI, _log_det_terms, truncated_normal_mean
 from .errors import NumericalError, ShapeError
-from .kernels import KernelSpec, SpectralGram, gram_matrix, truncated_spectrum
+from .kernels import KernelSpec, SpectralGram, gram_matrix
 from .optim import OptimResult, minimize_l1
 from .tensors import mode_k_product, multi_mode_vector_contract
 
@@ -78,13 +78,6 @@ class ModelConfig:
     em_rel_tol: float = 1e-5
     mstep_max_iters: int = 100
     seed: int = 0
-    truncation_energy: float = 1.0
-    n_restarts: int = 1
-
-    # The EM objective is nonconvex in the factors; with n_restarts > 1 the
-    # fit is repeated from extra starts (one data-driven HOSVD start, then
-    # random draws from seeds derived from ``seed``) and the run with the
-    # lowest final tracked objective wins.  Still fully deterministic.
 
     def __post_init__(self):
         if self.noise not in NOISE_MODELS:
@@ -97,10 +90,6 @@ class ModelConfig:
             raise ValueError("gaussian_sigma must be positive")
         if self.l1_lambda < 0:
             raise ValueError("l1_lambda must be nonnegative")
-        if not 0.0 < self.truncation_energy <= 1.0:
-            raise ValueError("truncation_energy must lie in (0, 1]")
-        if self.n_restarts < 1:
-            raise ValueError("n_restarts must be at least 1")
 
     def ranks(self, order: int) -> list[int]:
         if isinstance(self.rank, int):
@@ -297,8 +286,7 @@ def _m_step_smooth(
 ) -> float:
     if new_grams is None:
         new_grams = _candidate_grams(factors, state, config)
-    n = state.mu.size
-    logdet = sum(n / g.size * float(np.sum(np.log(g.eigvals))) for g in new_grams)
+    logdet = _log_det_terms(state.mu.shape, new_grams)
     quad = _prior_quad(state.mu, new_grams)
     trace = _frozen_trace(new_grams, state)
     return logdet + state.tau * (quad + trace)
@@ -460,19 +448,13 @@ def tracked_objective(
         fit_term += (resid_obs + resid_miss + sum_d) / (2.0 * s2)
         neg_entropy_z = -n_missing * 0.5 * (math.log(2.0 * math.pi * s2) + 1.0)
 
-    logdet = sum(n / g.size * float(np.sum(np.log(g.eigvals))) for g in grams)
-    quad = _prior_quad(mu, grams)
-    trace = multi_mode_vector_contract(
-        state.ups_diag, _basis_change_diags(grams, state.basis)
-    )
     if config.process == "t_process":
         e_log_eta = float(digamma(state.beta1)) - math.log(state.beta2)
-        tau = state.tau
     else:
         e_log_eta = 0.0
-        tau = 1.0
-    prior_m = 0.5 * n * LOG_2PI - 0.5 * n * e_log_eta + 0.5 * logdet
-    prior_m += 0.5 * tau * (quad + trace)
+    # log-det + tau * (quad + trace); for the GP, state.tau stays 1.
+    prior_m = 0.5 * n * LOG_2PI - 0.5 * n * e_log_eta
+    prior_m += 0.5 * _m_step_smooth(factors, state, config, new_grams=grams)
     neg_entropy_m = -0.5 * n * (LOG_2PI + 1.0) - 0.5 * sum_log_d
 
     total = fit_term + prior_m + neg_entropy_z + neg_entropy_m
@@ -484,7 +466,7 @@ def tracked_objective(
             -0.5 * nu * math.log(0.5 * nu)
             + float(gammaln(0.5 * nu))
             - (0.5 * nu - 1.0) * e_log_eta
-            + 0.5 * nu * tau
+            + 0.5 * nu * state.tau
         )
         total += prior_eta - _gamma_entropy(state.beta1, state.beta2)
     return float(total)
@@ -504,45 +486,13 @@ def init_factors(
     ]
 
 
-def hosvd_init_factors(
-    y: np.ndarray,
-    mask: np.ndarray,
-    ranks: Sequence[int],
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Leading per-mode singular vectors of the mean-imputed data.
-
-    Columns are rescaled so rows have roughly unit norm (matching the random
-    initialization scale the kernels expect); ranks beyond a mode's dimension
-    are padded with small random columns.
-    """
-    filled = np.where(mask, y, y[mask].mean())
-    filled = filled - filled.mean()
-    out = []
-    for k, r in enumerate(ranks):
-        nk = filled.shape[k]
-        unfold = np.moveaxis(filled, k, 0).reshape(nk, -1)
-        left, _, _ = np.linalg.svd(unfold, full_matrices=False)
-        cols = left[:, : min(r, left.shape[1])]
-        if cols.shape[1] < r:
-            pad = rng.normal(0.0, 1e-2, size=(nk, r - cols.shape[1]))
-            cols = np.hstack([cols, pad])
-        out.append(cols * math.sqrt(nk / r))
-    return out
-
-
 def fit(
     y: np.ndarray,
     mask: np.ndarray,
     config: ModelConfig,
     rng: np.random.Generator | None = None,
 ) -> FittedModel:
-    """Run variational EM to convergence and return the fitted model.
-
-    With ``config.n_restarts > 1`` the EM is repeated from fresh factor
-    initializations and the run with the lowest final tracked objective is
-    returned.
-    """
+    """Run variational EM to convergence and return the fitted model."""
     y = np.asarray(y, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if y.shape != mask.shape:
@@ -554,37 +504,19 @@ def fit(
         if not np.all((observed == 0.0) | (observed == 1.0)):
             raise ValueError("probit noise requires binary observed entries")
 
-    best: FittedModel | None = None
-    for restart in range(config.n_restarts):
-        if rng is not None:
-            rng_r = rng
-        elif restart == 0:
-            rng_r = np.random.default_rng(config.seed)
-        else:
-            rng_r = np.random.default_rng(np.random.SeedSequence([config.seed, restart]))
-        # restart 1 (when asked for) tries a data-driven HOSVD start instead
-        # of a second random draw; the best final objective still decides
-        initial = None
-        if restart == 1:
-            initial = hosvd_init_factors(y, mask, config.ranks(y.ndim), rng_r)
-        model = _fit_once(y, mask, config, rng_r, initial)
-        if best is None or model.objective_trace[-1] < best.objective_trace[-1]:
-            best = model
-    return best
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    return _fit_once(y, mask, config, rng)
 
 
 def _fit_once(
-    y: np.ndarray,
-    mask: np.ndarray,
-    config: ModelConfig,
-    rng: np.random.Generator,
-    initial: list[np.ndarray] | None = None,
+    y: np.ndarray, mask: np.ndarray, config: ModelConfig, rng: np.random.Generator
 ) -> FittedModel:
     dims = y.shape
     order = y.ndim
     ranks = config.ranks(order)
     specs = config.kernels(order)
-    factors = init_factors(dims, ranks, rng) if initial is None else initial
+    factors = init_factors(dims, ranks, rng)
 
     mu = np.zeros(dims)
     tau = 1.0
@@ -598,10 +530,6 @@ def _fit_once(
     for it in range(config.max_em_iters):
         if grams is None:
             grams = [gram_matrix(spec, u) for spec, u in zip(specs, factors)]
-        if config.truncation_energy < 1.0:
-            e_grams = [truncated_spectrum(g, config.truncation_energy) for g in grams]
-        else:
-            e_grams = grams
 
         if config.noise == "probit":
             zbar_loc = mu
@@ -609,9 +537,9 @@ def _fit_once(
         else:
             zbar_loc = mu
             ez = np.where(mask, y, mu)
-        mu, ups_diag = e_step_m(ez, e_grams, tau, rho)
+        mu, ups_diag = e_step_m(ez, grams, tau, rho)
         if config.process == "t_process":
-            beta1, beta2, tau = e_step_eta(config.nu, mu, ups_diag, e_grams)
+            beta1, beta2, tau = e_step_eta(config.nu, mu, ups_diag, grams)
         state = VariationalState(
             ez=ez,
             mu=mu,

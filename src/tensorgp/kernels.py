@@ -18,7 +18,7 @@ evaluation harness, never optimized inside EM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -59,38 +59,10 @@ class SpectralGram:
     eigvecs: np.ndarray
     eigvals: np.ndarray
     jitter_applied: float
-    retained_rank: int = field(default=0)
-    trunc_error_bound: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.retained_rank == 0:
-            self.retained_rank = self.eigvals.size
 
     @property
     def size(self) -> int:
         return self.gram.shape[0]
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray, jitter: float = 0.0) -> "SpectralGram":
-        """Decompose a given symmetric matrix (plus optional jitter) directly."""
-        mat = np.asarray(mat, dtype=np.float64)
-        jittered = mat + jitter * np.eye(mat.shape[0])
-        vals, vecs = np.linalg.eigh(jittered)
-        return cls(jittered, vecs, np.maximum(vals, EIGENVALUE_FLOOR), jitter)
-
-
-def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:
-    """Covariance between two row vectors."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.size != v.size:
-        raise ShapeError(f"row length mismatch {u.size} vs {v.size}")
-    if spec.family == "linear":
-        return float(u @ v)
-    dist_sq = float(np.sum((u - v) ** 2))
-    if spec.family == "gaussian":
-        return float(np.exp(-spec.gamma * dist_sq))
-    return float(np.exp(-spec.gamma * np.sqrt(dist_sq)))
 
 
 def kernel_matrix(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
@@ -141,33 +113,6 @@ def gram_matrix(spec: KernelSpec, rows: np.ndarray, jitter: float | None = None)
     raise NumericalError(
         f"eigendecomposition failed for {spec.family} Gram of size {n} "
         f"(max jitter {candidates[-1]:.3e}): {last_err}"
-    )
-
-
-def truncated_spectrum(sg: SpectralGram, energy: float) -> SpectralGram:
-    """Keep the smallest leading eigenset capturing ``energy`` of the trace.
-
-    Discarded directions have their eigenvalue replaced by the floor; the
-    reported ``trunc_error_bound`` is the discarded eigenvalue mass, bounded
-    by (1 - energy) * trace.
-    """
-    if not 0.0 < energy <= 1.0:
-        raise ValueError(f"energy must lie in (0, 1], got {energy}")
-    if energy == 1.0:
-        return sg
-    order = np.argsort(sg.eigvals)[::-1]
-    sorted_vals = sg.eigvals[order]
-    total = float(np.sum(sorted_vals))
-    cum = np.cumsum(sorted_vals)
-    keep = int(np.searchsorted(cum, energy * total * (1.0 - 1e-12)) + 1)
-    keep = min(keep, sorted_vals.size)
-    new_vals = sg.eigvals.copy()
-    new_vals[order[keep:]] = EIGENVALUE_FLOOR
-    return replace(
-        sg,
-        eigvals=new_vals,
-        retained_rank=keep,
-        trunc_error_bound=float(total - cum[keep - 1]),
     )
 
 

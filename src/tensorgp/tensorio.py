@@ -24,8 +24,7 @@ unknown keys are rejected.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -45,6 +44,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _record_dtype(order: int) -> np.dtype:
+    """One packed binary record: ``order`` int32 indices then a float64 value."""
+    return np.dtype([("idx", "<i4", (order,)), ("val", "<f8")])
+
+
 def write_tensor(path, t: np.ndarray, mask: np.ndarray | None = None, binary: bool = False) -> None:
     """Write the observed cells of ``t`` (all cells when mask is None)."""
     t = np.asarray(t, dtype=np.float64)
@@ -56,25 +60,25 @@ def write_tensor(path, t: np.ndarray, mask: np.ndarray | None = None, binary: bo
     dims = t.shape
     dense = bool(mask.all())
     flat_idx = np.flatnonzero(mask.ravel())
-    coords = np.stack(np.unravel_index(flat_idx, dims), axis=1) + 1 if flat_idx.size else np.zeros((0, len(dims)), dtype=int)
+    coords = np.stack(np.unravel_index(flat_idx, dims), axis=1) + 1
     values = t.ravel()[flat_idx]
 
+    magic = _BINARY_MAGIC.decode() if binary else _TEXT_MAGIC
+    header = f"{magic} {len(dims)} " + " ".join(map(str, dims))
+    if dense:
+        header += " dense"
+
     if binary:
+        rec = np.empty(len(values), dtype=_record_dtype(len(dims)))
+        rec["idx"] = coords
+        rec["val"] = values
         with open(path, "wb") as fh:
-            header = f"{_BINARY_MAGIC.decode()} {len(dims)} " + " ".join(map(str, dims))
-            if dense:
-                header += " dense"
             fh.write(header.encode() + b"\n")
-            fh.write(struct.pack("<q", len(values)))
-            for row, v in zip(coords, values):
-                fh.write(struct.pack(f"<{len(dims)}i", *row))
-                fh.write(struct.pack("<d", v))
+            fh.write(np.array(len(values), dtype="<i8").tobytes())
+            fh.write(rec.tobytes())
         return
 
     with open(path, "w") as fh:
-        header = f"{_TEXT_MAGIC} {len(dims)} " + " ".join(map(str, dims))
-        if dense:
-            header += " dense"
         fh.write(header + "\n")
         for row, v in zip(coords, values):
             fh.write(" ".join(map(str, row)) + " " + _fmt(v) + "\n")
@@ -103,6 +107,18 @@ def _parse_header(tokens: list[str], lineno: int) -> tuple[tuple[int, ...], bool
     if order < 1 or any(d < 1 for d in dims):
         raise TensorFormatError(f"line {lineno}: dims must be positive, got {dims}")
     return dims, dense
+
+
+def _parse_index(tokens: list[str], dims: tuple[int, ...], lineno: int) -> tuple[int, ...]:
+    """1-based index from integer tokens, each checked against its dimension."""
+    try:
+        idx = tuple(int(x) for x in tokens)
+    except ValueError:
+        raise TensorFormatError(f"line {lineno}: malformed index {' '.join(tokens)!r}") from None
+    for k, (i, d) in enumerate(zip(idx, dims)):
+        if not 1 <= i <= d:
+            raise TensorFormatError(f"line {lineno}: index {i} out of range [1, {d}] in mode {k + 1}")
+    return idx
 
 
 def read_tensor(path) -> tuple[np.ndarray, np.ndarray]:
@@ -137,16 +153,11 @@ def read_tensor(path) -> tuple[np.ndarray, np.ndarray]:
                 raise TensorFormatError(
                     f"line {lineno}: expected {len(dims)} indices and a value, got {len(tokens)} fields"
                 )
+            idx = _parse_index(tokens[:-1], dims, lineno)
             try:
-                idx = tuple(int(x) for x in tokens[:-1])
                 value = float(tokens[-1])
             except ValueError:
                 raise TensorFormatError(f"line {lineno}: malformed record {line!r}") from None
-            for k, (i, d) in enumerate(zip(idx, dims)):
-                if not 1 <= i <= d:
-                    raise TensorFormatError(
-                        f"line {lineno}: index {i} out of range [1, {d}] in mode {k + 1}"
-                    )
             pos = tuple(i - 1 for i in idx)
             if mask[pos]:
                 raise TensorFormatError(f"line {lineno}: duplicate index {idx}")
@@ -162,29 +173,68 @@ def read_tensor(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_binary(fh, first_line: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every record at once; an error names the first bad record in file order."""
     tokens = first_line.decode().split()
     dims, dense = _parse_header(tokens, 1)
-    (count,) = struct.unpack("<q", fh.read(8))
+    head = fh.read(8)
+    if len(head) != 8:
+        raise TensorFormatError("truncated binary tensor file: no record count")
+    count = int(np.frombuffer(head, dtype="<i8")[0])
+    if count < 0:
+        raise TensorFormatError(f"negative record count {count} in binary tensor file")
+    dtype = _record_dtype(len(dims))
+    # Read what the file holds, not what a corrupt count asks for.
+    buf = fh.read()
+    complete = min(count, len(buf) // dtype.itemsize)
+    rec = np.frombuffer(buf, dtype=dtype, count=complete)
+    idx = rec["idx"]
+
+    # Records before the first out-of-range one are checked for duplicates,
+    # so whichever fault comes first in the file is the one reported.
+    bad = np.argwhere((idx < 1) | (idx > np.asarray(dims)))
+    first_bad = int(bad[0, 0]) if bad.size else complete
+    flat = np.ravel_multi_index(tuple((idx[:first_bad] - 1).T), dims)
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        r = int(repeats.min())
+        raise TensorFormatError(f"record {r + 1}: duplicate index {tuple(idx[r].tolist())}")
+    if bad.size:
+        r, m = bad[0]
+        raise TensorFormatError(
+            f"record {r + 1}: index {idx[r, m]} out of range [1, {dims[m]}] in mode {m + 1}"
+        )
+    if complete < count:
+        raise TensorFormatError(f"record {complete + 1}: truncated binary tensor file")
+
     t = np.zeros(dims)
     mask = np.zeros(dims, dtype=bool)
-    k = len(dims)
-    record = struct.Struct(f"<{k}i d")
-    for r in range(count):
-        buf = fh.read(record.size)
-        if len(buf) != record.size:
-            raise TensorFormatError(f"record {r + 1}: truncated binary tensor file")
-        *idx, value = record.unpack(buf)
-        for m, (i, d) in enumerate(zip(idx, dims)):
-            if not 1 <= i <= d:
-                raise TensorFormatError(f"record {r + 1}: index {i} out of range [1, {d}] in mode {m + 1}")
-        pos = tuple(i - 1 for i in idx)
-        if mask[pos]:
-            raise TensorFormatError(f"record {r + 1}: duplicate index {tuple(idx)}")
-        t[pos] = value
-        mask[pos] = True
+    np.put(t, flat, rec["val"])
+    np.put(mask, flat, True)
     if dense and not mask.all():
-        raise TensorFormatError("dense binary tensor file does not cover the grid")
+        missing = np.unravel_index(int(np.argmin(mask)), dims)
+        raise TensorFormatError(
+            f"dense binary tensor file does not cover the grid: no record for index "
+            f"{tuple(int(i) + 1 for i in missing)}"
+        )
     return t, mask
+
+
+def read_indices(path, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Read a file of 1-based indices, one per line; ``#`` starts a comment."""
+    out = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if len(tokens) != len(dims):
+                raise TensorFormatError(
+                    f"line {lineno}: expected {len(dims)} indices, got {len(tokens)}"
+                )
+            out.append(_parse_index(tokens, dims, lineno))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +253,9 @@ def _config_to_dict(config: ModelConfig) -> dict:
 
 
 def _config_from_dict(d: dict) -> ModelConfig:
+    # Files written before these options were removed still carry them.
+    d.pop("truncation_energy", None)
+    d.pop("n_restarts", None)
     kernel = d["kernel"]
     if isinstance(kernel, dict):
         d["kernel"] = KernelSpec(**kernel)
@@ -305,8 +358,6 @@ _MODEL_KEYS = {
     "em_rel_tol": float,
     "mstep_max_iters": int,
     "seed": int,
-    "truncation_energy": float,
-    "n_restarts": int,
 }
 
 _EXPERIMENT_KEYS = {
@@ -385,36 +436,17 @@ def model_config_from_dict(d: dict, seed_override: int | None = None) -> ModelCo
         raise ConfigError(str(err)) from None
 
 
+# Config keys whose ExperimentSpec field has another name; every other
+# config key that names a field fills it directly.
+_SPEC_RENAMES = {"kernel": "kernel_family", "gaussian_sigma": "sigma"}
+
+
 def experiment_spec_from_dict(d: dict, seed_override: int | None = None) -> ExperimentSpec:
+    spec_fields = {f.name for f in fields(ExperimentSpec)}
     kwargs = {}
-    mapping = {
-        "dims": "dims",
-        "generator": "generator",
-        "noise": "noise",
-        "process": "process",
-        "holdout_fraction": "holdout_fraction",
-        "folds": "folds",
-        "repeats": "repeats",
-        "seed": "seed",
-        "gamma_grid": "gamma_grid",
-        "lambda_grid": "lambda_grid",
-        "rank_grid": "rank_grid",
-        "kernel": "kernel_family",
-        "nu": "nu",
-        "gaussian_sigma": "sigma",
-        "latent_scale": "latent_scale",
-        "gen_gamma": "gen_gamma",
-        "gen_rank": "gen_rank",
-        "model_sigma": "model_sigma",
-        "data_file": "data_file",
-        "max_em_iters": "max_em_iters",
-        "em_rel_tol": "em_rel_tol",
-        "mstep_max_iters": "mstep_max_iters",
-        "truncation_energy": "truncation_energy",
-        "n_restarts": "n_restarts",
-    }
-    for key, attr in mapping.items():
-        if key in d:
+    for key in CONFIG_KEYS:
+        attr = _SPEC_RENAMES.get(key, key)
+        if key in d and attr in spec_fields:
             kwargs[attr] = tuple(d[key]) if key == "dims" else d[key]
     if seed_override is not None:
         kwargs["seed"] = seed_override

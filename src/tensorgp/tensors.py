@@ -32,23 +32,8 @@ def as_tensor(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64)
 
 
-def vec_index(idx: Sequence[int], dims: Sequence[int]) -> int:
-    """1-based linear position of the 1-based multi-index ``idx`` in ``dims``.
-
-    Raises IndexError if any component is out of range.
-    """
-    if len(idx) != len(dims):
-        raise ShapeError(f"index order {len(idx)} != tensor order {len(dims)}")
-    j = 0
-    for i, n in zip(idx, dims):
-        if not 1 <= i <= n:
-            raise IndexError(f"index component {i} out of range [1, {n}]")
-        j = j * n + (i - 1)
-    return j + 1
-
-
 def multi_index(j: int, dims: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`vec_index`: 1-based multi-index of linear position ``j``."""
+    """1-based multi-index of the 1-based linear position ``j`` in ``dims``."""
     n = int(np.prod(dims))
     if not 1 <= j <= n:
         raise IndexError(f"linear position {j} out of range [1, {n}]")
@@ -58,20 +43,6 @@ def multi_index(j: int, dims: Sequence[int]) -> tuple[int, ...]:
         out.append(rem % size + 1)
         rem //= size
     return tuple(reversed(out))
-
-
-def vectorize(t: np.ndarray) -> np.ndarray:
-    """Stack entries into a length-n vector per the linear index map."""
-    return as_tensor(t).ravel()
-
-
-def devectorize(v: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Rebuild a tensor of shape ``dims`` from its vectorization."""
-    v = np.asarray(v, dtype=np.float64)
-    n = int(np.prod(dims))
-    if v.size != n:
-        raise ShapeError(f"vector length {v.size} != product of dims {n}")
-    return v.reshape(tuple(dims)).copy()
 
 
 def mode_k_product(t: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
@@ -92,26 +63,6 @@ def mode_k_product(t: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
         )
     out = np.tensordot(t, m, axes=([k], [1]))
     return np.ascontiguousarray(np.moveaxis(out, -1, k))
-
-
-def tucker_multiply(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply one factor matrix per mode: ``core x_1 U1 x_2 ... x_K UK``."""
-    core = np.asarray(core, dtype=np.float64)
-    if len(factors) != core.ndim:
-        raise ShapeError(f"{len(factors)} factors for an order-{core.ndim} tensor")
-    out = core
-    for k, u in enumerate(factors):
-        out = mode_k_product(out, u, k)
-    return out
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry-wise product of two tensors with identical dims."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
 
 
 def frobenius_norm_sq(t: np.ndarray) -> float:

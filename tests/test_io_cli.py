@@ -1,15 +1,23 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensorgp
 from tensorgp.cli import main
 from tensorgp.errors import ConfigError, ModelFormatError, TensorFormatError
-from tensorgp.evaluate import random_mask
+from tensorgp.evaluate import ExperimentSpec, random_mask
 from tensorgp.inference import ModelConfig, fit
 from tensorgp.kernels import KernelSpec
 from tensorgp.prediction import predict_batch
 from tensorgp.tensorio import (
+    _EXPERIMENT_KEYS,
     experiment_spec_from_dict,
     load_model,
     model_config_from_dict,
@@ -98,6 +106,73 @@ class TestTensorFiles:
         np.testing.assert_array_equal(back[mask], t[mask])
 
 
+def _binary_file(path, header, records, count=None):
+    """A binary tensor file built record by record with struct."""
+    out = header.encode() + b"\n" + struct.pack("<q", len(records) if count is None else count)
+    for *idx, value in records:
+        out += struct.pack(f"<{len(idx)}i", *idx) + struct.pack("<d", value)
+    path.write_bytes(out)
+
+
+class TestBinaryTensorFiles:
+    def test_partial_tensor_bytes(self, tmp_path):
+        t = np.array([[1.5, -2.0, 0.25], [3.0, 4.0, -0.5]])
+        mask = np.array([[True, False, True], [False, True, False]])
+        write_tensor(tmp_path / "p.bin", t, mask, binary=True)
+        _binary_file(tmp_path / "ref.bin", "tensorbin 2 2 3", [(1, 1, 1.5), (1, 3, 0.25), (2, 2, 4.0)])
+        assert (tmp_path / "p.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+
+    def test_dense_tensor_bytes(self, tmp_path):
+        t = np.array([[0.1, 0.2], [0.3, 1e300]])
+        write_tensor(tmp_path / "d.bin", t, binary=True)
+        _binary_file(
+            tmp_path / "ref.bin",
+            "tensorbin 2 2 2 dense",
+            [(1, 1, 0.1), (1, 2, 0.2), (2, 1, 0.3), (2, 2, 1e300)],
+        )
+        assert (tmp_path / "d.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+        back, mask = read_tensor(tmp_path / "d.bin")
+        np.testing.assert_array_equal(back, t)
+        assert mask.all()
+
+    def test_truncated_record(self, tmp_path):
+        path = tmp_path / "t.bin"
+        _binary_file(path, "tensorbin 2 2 2", [(1, 1, 1.0), (2, 2, 2.0)])
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(TensorFormatError, match="record 2: truncated"):
+            read_tensor(path)
+
+    def test_out_of_range_index(self, tmp_path):
+        path = tmp_path / "o.bin"
+        _binary_file(path, "tensorbin 2 2 2", [(1, 1, 1.0), (2, 3, 2.0)])
+        with pytest.raises(TensorFormatError, match=r"record 2: index 3 out of range \[1, 2\] in mode 2"):
+            read_tensor(path)
+
+    def test_duplicate_index(self, tmp_path):
+        path = tmp_path / "u.bin"
+        _binary_file(path, "tensorbin 2 2 2", [(1, 1, 1.0), (2, 1, 2.0), (1, 1, 3.0)])
+        with pytest.raises(TensorFormatError, match=r"record 3: duplicate index \(1, 1\)"):
+            read_tensor(path)
+
+    def test_first_offending_record_is_reported(self, tmp_path):
+        path = tmp_path / "f.bin"
+        _binary_file(path, "tensorbin 2 2 2", [(1, 1, 1.0), (1, 1, 2.0), (0, 1, 3.0)])
+        with pytest.raises(TensorFormatError, match="record 2: duplicate"):
+            read_tensor(path)
+
+    def test_dense_gap(self, tmp_path):
+        path = tmp_path / "g.bin"
+        _binary_file(path, "tensorbin 2 2 2 dense", [(1, 1, 1.0), (1, 2, 2.0), (2, 2, 4.0)])
+        with pytest.raises(TensorFormatError, match=r"no record for index \(2, 1\)"):
+            read_tensor(path)
+
+    def test_negative_count(self, tmp_path):
+        path = tmp_path / "n.bin"
+        _binary_file(path, "tensorbin 2 2 2", [], count=-1)
+        with pytest.raises(TensorFormatError, match="negative record count -1"):
+            read_tensor(path)
+
+
 class TestModelSerialization:
     def _fitted(self, rng):
         y = rng.normal(size=(4, 4, 4))
@@ -126,6 +201,19 @@ class TestModelSerialization:
         for ma, mb in zip(a, b):
             assert ma.mean == mb.mean
             assert ma.variance == mb.variance
+
+    def test_removed_config_keys_still_load(self, rng, tmp_path):
+        model = self._fitted(rng)
+        path = tmp_path / "m.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["config"].update({"truncation_energy": 1.0, "n_restarts": 1})
+        path.write_text(json.dumps(payload))
+        loaded = load_model(path)
+        idx = [multi_index(j + 1, model.dims) for j in np.flatnonzero(~model.mask.ravel())]
+        a = predict_batch(model, idx)
+        b = predict_batch(loaded, idx)
+        assert [(m.mean, m.variance) for m in a] == [(m.mean, m.variance) for m in b]
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -192,6 +280,48 @@ class TestRunConfig:
         path.write_text("flux_capacitor = 1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(path)
+
+    @pytest.mark.parametrize("key", ["truncation_energy", "n_restarts"])
+    def test_removed_keys_are_unknown(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(path)
+
+    def test_every_eval_key_reaches_its_spec_field(self, tmp_path):
+        values = {
+            "dims": ("3, 4", (3, 4)),
+            "generator": ("rank1", "rank1"),
+            "holdout_fraction": ("0.3", 0.3),
+            "folds": ("4", 4),
+            "repeats": ("2", 2),
+            "gamma_grid": ("0.1 0.2", [0.1, 0.2]),
+            "lambda_grid": ("0.5", [0.5]),
+            "rank_grid": ("1 2", [1, 2]),
+            "latent_scale": ("2.5", 2.5),
+            "gen_gamma": ("0.7", 0.7),
+            "gen_rank": ("5", 5),
+            "model_sigma": ("0.35", 0.35),
+            "data_file": ("d.tensor", "d.tensor"),
+            "noise": ("probit", "probit"),
+            "process": ("t_process", "t_process"),
+            "nu": ("7", 7.0),
+            "kernel": ("exponential", "exponential"),
+            "gaussian_sigma": ("0.05", 0.05),
+            "max_em_iters": ("9", 9),
+            "em_rel_tol": ("1e-3", 1e-3),
+            "mstep_max_iters": ("11", 11),
+            "seed": ("13", 13),
+        }
+        renames = {"kernel": "kernel_family", "gaussian_sigma": "sigma"}
+        assert set(_EXPERIMENT_KEYS) <= set(values)
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} = {raw}\n" for key, (raw, _) in values.items()))
+        spec = experiment_spec_from_dict(parse_config(path))
+        for key, (_, expected) in values.items():
+            assert getattr(spec, renames.get(key, key)) == expected, key
+        # every spec field is reachable from a config key
+        assert {f.name for f in fields(ExperimentSpec)} == {renames.get(k, k) for k in values}
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -313,6 +443,36 @@ class TestCli:
 
     def test_bad_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+    def test_module_entry_point(self):
+        # the child imports the same tensorgp package as this test run
+        src = str(Path(tensorgp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorgp.cli", "frobnicate"], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert "invalid choice" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [("1 1\n1 x\n", "line 2: malformed index"), ("1 1\n\n2 5\n", "line 3: index 5 out of range")],
+    )
+    def test_bad_index_file(self, tmp_path, capsys, content, message):
+        cfg = self._write_config(tmp_path)
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        main(
+            ["fit", "--data", str(tmp_path / "s_y.tensor"), "--config", str(cfg),
+             "--out", str(tmp_path / "m.json")]
+        )
+        idx_file = tmp_path / "idx.txt"
+        idx_file.write_text(content)
+        capsys.readouterr()
+        assert main(
+            ["predict", "--model", str(tmp_path / "m.json"), "--indices", str(idx_file),
+             "--out", str(tmp_path / "p.txt")]
+        ) == 1
+        assert message in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, monkeypatch, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -2,54 +2,44 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from tensorgp.errors import ShapeError
 from tensorgp.kernels import (
     EIGENVALUE_FLOOR,
     KernelSpec,
-    SpectralGram,
     gram_gradient_contract,
     gram_matrix,
-    kernel_eval,
     kernel_matrix,
-    truncated_spectrum,
 )
 
 
 class TestKernelEval:
+    """The kernel formulas, read off the raw Gram matrix."""
+
     def test_gaussian_zero_distance(self):
         spec = KernelSpec("gaussian", 2.7)
         u = np.array([0.3, -1.2])
-        assert kernel_eval(spec, u, u) == 1.0
+        np.testing.assert_array_equal(kernel_matrix(spec, np.array([u, u])), np.ones((2, 2)))
 
     def test_exponential_unit_distance(self):
         spec = KernelSpec("exponential", 1.0)
-        assert kernel_eval(spec, np.array([0.0]), np.array([1.0])) == pytest.approx(
-            np.exp(-1.0), rel=1e-12
-        )
+        k = kernel_matrix(spec, np.array([[0.0], [1.0]]))
+        assert k[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_linear_dot(self):
         spec = KernelSpec("linear")
-        assert kernel_eval(spec, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+        assert kernel_matrix(spec, np.array([[1.0, 2.0], [3.0, 4.0]]))[0, 1] == 11.0
 
     def test_symmetry(self, rng):
         for family in ("gaussian", "exponential", "linear"):
             spec = KernelSpec(family, 0.7)
-            u, v = rng.normal(size=3), rng.normal(size=3)
-            assert kernel_eval(spec, u, v) == kernel_eval(spec, v, u)
+            k = kernel_matrix(spec, rng.normal(size=(5, 3)))
+            np.testing.assert_array_equal(k, k.T)
 
     def test_monotone_decay_with_distance(self):
+        rows = np.array([[d, 0.0] for d in (0.0, 0.5, 1.0, 2.0, 5.0)])
         for family in ("gaussian", "exponential"):
-            spec = KernelSpec(family, 0.9)
-            vals = [
-                kernel_eval(spec, np.zeros(2), np.array([d, 0.0]))
-                for d in (0.0, 0.5, 1.0, 2.0, 5.0)
-            ]
+            vals = kernel_matrix(KernelSpec(family, 0.9), rows)[0]
             assert all(a > b for a, b in zip(vals, vals[1:]))
             assert all(0.0 < v <= 1.0 for v in vals)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            kernel_eval(KernelSpec("gaussian", 1.0), np.zeros(2), np.zeros(3))
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
@@ -104,31 +94,6 @@ class TestGramMatrix:
         sg = gram_matrix(KernelSpec("gaussian", 0.3), rows, jitter=1e-4)
         assert sg.jitter_applied == 1e-4
         assert sg.gram[0, 0] == pytest.approx(1.0 + 1e-4)
-
-
-class TestTruncatedSpectrum:
-    def test_full_energy_is_identity(self, rng):
-        sg = gram_matrix(KernelSpec("gaussian", 0.5), rng.normal(size=(5, 2)))
-        assert truncated_spectrum(sg, 1.0) is sg
-
-    def test_rank_one_gram(self):
-        rows = np.tile([[0.7, -0.1]], (5, 1))
-        sg = gram_matrix(KernelSpec("gaussian", 1.0), rows)
-        out = truncated_spectrum(sg, 0.9)
-        assert out.retained_rank == 1
-
-    def test_cumulative_energy_arithmetic(self):
-        sg = SpectralGram.from_matrix(np.diag([4.0, 1.0]))
-        out = truncated_spectrum(sg, 0.8)
-        assert out.retained_rank == 1
-        # the dropped eigenvalue is replaced by the floor
-        assert sorted(out.eigvals)[0] == EIGENVALUE_FLOOR
-        assert out.trunc_error_bound == pytest.approx(1.0)
-
-    def test_bad_energy(self, rng):
-        sg = gram_matrix(KernelSpec("gaussian", 0.5), rng.normal(size=(3, 2)))
-        with pytest.raises(ValueError):
-            truncated_spectrum(sg, 0.0)
 
 
 class TestGramGradientContract:

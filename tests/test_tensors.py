@@ -5,49 +5,44 @@ import pytest
 
 from tensorgp.errors import ShapeError
 from tensorgp.tensors import (
-    devectorize,
     frobenius_norm_sq,
-    hadamard,
     mode_k_product,
     multi_index,
     multi_mode_vector_contract,
-    tucker_multiply,
-    vec_index,
-    vectorize,
 )
 
 
 class TestVecIndex:
+    """The 1-based row-major index map, through its inverse ``multi_index``."""
+
     def test_first_element(self):
-        assert vec_index((1, 1, 1), (2, 3, 4)) == 1
+        assert multi_index(1, (2, 3, 4)) == (1, 1, 1)
 
     def test_last_element(self):
-        assert vec_index((2, 3, 4), (2, 3, 4)) == 24
+        assert multi_index(24, (2, 3, 4)) == (2, 3, 4)
 
     def test_hand_computed_interior(self):
         # 3 + (1-1)*12 + (2-1)*4
-        assert vec_index((1, 2, 3), (2, 3, 4)) == 7
+        assert multi_index(7, (2, 3, 4)) == (1, 2, 3)
 
     def test_bijective_over_grid(self, rng):
         for _ in range(5):
             order = rng.integers(1, 5)
             dims = tuple(rng.integers(1, 5, size=order))
-            seen = {
-                vec_index(idx, dims)
-                for idx in itertools.product(*(range(1, d + 1) for d in dims))
-            }
-            assert seen == set(range(1, int(np.prod(dims)) + 1))
+            seen = {multi_index(j, dims) for j in range(1, int(np.prod(dims)) + 1)}
+            assert seen == set(itertools.product(*(range(1, d + 1) for d in dims)))
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            vec_index((3, 1), (2, 2))
+            multi_index(5, (2, 2))
         with pytest.raises(IndexError):
-            vec_index((0, 1), (2, 2))
+            multi_index(0, (2, 2))
 
     def test_multi_index_inverse(self, rng):
         dims = (3, 2, 4)
         for j in range(1, 25):
-            assert vec_index(multi_index(j, dims), dims) == j
+            expected = tuple(int(i) + 1 for i in np.unravel_index(j - 1, dims))
+            assert multi_index(j, dims) == expected
 
 
 class TestModeKProduct:
@@ -80,9 +75,11 @@ class TestModeKProduct:
 
 
 class TestTuckerMultiply:
+    """Chained mode products against the Kronecker identity the package relies on."""
+
     def test_identity_factors(self, rng):
         core = rng.normal(size=(2, 3))
-        out = tucker_multiply(core, [np.eye(2), np.eye(3)])
+        out = mode_k_product(mode_k_product(core, np.eye(2), 0), np.eye(3), 1)
         np.testing.assert_allclose(out, core)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -90,64 +87,27 @@ class TestTuckerMultiply:
         dims = tuple(np.random.default_rng(order).integers(2, 4, size=order))
         core = rng.normal(size=dims)
         factors = [rng.normal(size=(d + 1, d)) for d in dims]
-        out = tucker_multiply(core, factors)
+        out = core
+        for k, f in enumerate(factors):
+            out = mode_k_product(out, f, k)
         kron = factors[0]
         for f in factors[1:]:
             kron = np.kron(kron, f)
-        np.testing.assert_allclose(vectorize(out), kron @ vectorize(core), atol=1e-12)
+        np.testing.assert_allclose(out.ravel(), kron @ core.ravel(), atol=1e-12)
 
     def test_scalar_case(self):
         core = np.full((1, 1), 4.0)
-        out = tucker_multiply(core, [np.full((1, 1), 2.0), np.full((1, 1), 3.0)])
+        out = mode_k_product(mode_k_product(core, np.full((1, 1), 2.0), 0), np.full((1, 1), 3.0), 1)
         assert out.item() == pytest.approx(24.0)
 
 
 class TestVectorize:
-    def test_singleton(self):
-        np.testing.assert_array_equal(vectorize(np.array([[5.0]])), [5.0])
-
-    def test_row_major_2x2(self):
-        t = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(vectorize(t), [1.0, 2.0, 3.0, 4.0])
-
-    def test_round_trip_random_dims(self, rng):
-        for _ in range(10):
-            order = rng.integers(1, 5)
-            dims = tuple(rng.integers(1, 10, size=order))
-            if np.prod(dims) > 10_000:
-                continue
-            t = rng.normal(size=dims)
-            np.testing.assert_array_equal(devectorize(vectorize(t), dims), t)
-
     def test_matches_vec_index(self, rng):
         dims = (2, 3, 4)
         t = rng.normal(size=dims)
-        v = vectorize(t)
-        for idx in itertools.product(*(range(1, d + 1) for d in dims)):
-            assert v[vec_index(idx, dims) - 1] == t[tuple(i - 1 for i in idx)]
-
-    def test_devectorize_length_check(self):
-        with pytest.raises(ShapeError):
-            devectorize(np.zeros(5), (2, 3))
-
-
-class TestHadamard:
-    def test_ones_identity(self, rng):
-        a = rng.normal(size=(3, 2))
-        np.testing.assert_array_equal(hadamard(a, np.ones_like(a)), a)
-
-    def test_zeros_annihilate(self, rng):
-        a = rng.normal(size=(3, 2))
-        np.testing.assert_array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(hadamard(a, b), [[5.0, 12.0], [21.0, 32.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.zeros((2, 2)), np.zeros((2, 3)))
+        v = t.ravel()
+        for j in range(1, v.size + 1):
+            assert v[j - 1] == t[tuple(i - 1 for i in multi_index(j, dims))]
 
 
 class TestFrobenius:
@@ -159,7 +119,7 @@ class TestFrobenius:
 
     def test_equals_vec_dot(self, rng):
         t = rng.normal(size=(2, 3, 2))
-        v = vectorize(t)
+        v = t.ravel()
         assert frobenius_norm_sq(t) == pytest.approx(float(v @ v))
 
 
@@ -175,7 +135,7 @@ class TestMultiModeContract:
         kron = vecs[0]
         for v in vecs[1:]:
             kron = np.kron(kron, v)
-        expected = float(kron @ vectorize(d))
+        expected = float(kron @ d.ravel())
         assert multi_mode_vector_contract(d, vecs) == pytest.approx(expected, rel=1e-12)
 
     def test_all_ones_counts(self):
