@@ -20,8 +20,8 @@ import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr
 
 from .errors import NumericalError, ShapeError
-from .kernels import SpectralGram
-from .tensors import as_tensor, frobenius_norm_sq, mode_k_product
+from .kernels import SpectralGram, kron_logdet, kron_quad
+from .tensors import as_tensor, mode_k_product
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -57,28 +57,14 @@ class TensorTParams:
         _check_mode_grams(self.mean, self.mode_grams)
 
 
-def _whiten(diff: np.ndarray, mode_grams: Sequence[SpectralGram]) -> np.ndarray:
-    """Apply diag(eigvals^-1/2) @ V.T along every mode."""
-    out = diff
-    for k, sg in enumerate(mode_grams):
-        out = mode_k_product(out, sg.eigvecs.T / np.sqrt(sg.eigvals)[:, None], k)
-    return out
-
-
-def _log_det_terms(dims: Sequence[int], mode_grams: Sequence[SpectralGram]) -> float:
-    """sum_k (n / n_k) * log|S_k| from the per-mode spectra."""
-    n = math.prod(dims)
-    return sum(n / sg.size * float(np.sum(np.log(sg.eigvals))) for sg in mode_grams)
-
-
 def tensor_normal_logpdf(p: TensorNormalParams, m: np.ndarray) -> float:
     """Log density of the tensor-variate normal at ``m``."""
     m = as_tensor(m)
     if m.shape != p.mean.shape:
         raise ShapeError(f"shape mismatch {m.shape} vs {p.mean.shape}")
     n = m.size
-    quad = frobenius_norm_sq(_whiten(m - p.mean, p.mode_grams))
-    out = -0.5 * (n * LOG_2PI + _log_det_terms(m.shape, p.mode_grams) + quad)
+    quad = kron_quad(m - p.mean, p.mode_grams)
+    out = -0.5 * (n * LOG_2PI + kron_logdet(p.mode_grams) + quad)
     if not np.isfinite(out):
         raise NumericalError(f"tensor normal logpdf is not finite ({out})")
     return float(out)
@@ -90,12 +76,12 @@ def tensor_t_logpdf(p: TensorTParams, m: np.ndarray) -> float:
     if m.shape != p.mean.shape:
         raise ShapeError(f"shape mismatch {m.shape} vs {p.mean.shape}")
     n = m.size
-    quad = frobenius_norm_sq(_whiten(m - p.mean, p.mode_grams))
+    quad = kron_quad(m - p.mean, p.mode_grams)
     out = (
         gammaln(0.5 * (n + p.nu))
         - gammaln(0.5 * p.nu)
         - 0.5 * n * math.log(p.nu * math.pi)
-        - 0.5 * _log_det_terms(m.shape, p.mode_grams)
+        - 0.5 * kron_logdet(p.mode_grams)
         - 0.5 * (n + p.nu) * np.log1p(quad / p.nu)
     )
     if not np.isfinite(out):
@@ -103,30 +89,16 @@ def tensor_t_logpdf(p: TensorTParams, m: np.ndarray) -> float:
     return float(out)
 
 
-def _sqrt_factors(mode_grams: Sequence[SpectralGram]) -> list[np.ndarray]:
-    """Symmetric square roots V @ diag(sqrt(eigvals)) @ V.T per mode."""
-    return [
-        (sg.eigvecs * np.sqrt(sg.eigvals)) @ sg.eigvecs.T for sg in mode_grams
-    ]
-
-
 def sample_tensor_normal(
     rng: np.random.Generator, p: TensorNormalParams, size: int | None = None
 ) -> np.ndarray:
     """Exact sampler; returns shape ``dims`` or ``(size, *dims)``."""
-    roots = _sqrt_factors(p.mode_grams)
     dims = p.mean.shape
-    if size is None:
-        eps = rng.standard_normal(dims)
-        out = eps
-        for k, r in enumerate(roots):
-            out = mode_k_product(out, r, k)
-        return p.mean + out
-    eps = rng.standard_normal((size, *dims))
-    out = eps
-    for k, r in enumerate(roots):
-        out = mode_k_product(out, r, k + 1)
-    return p.mean[None, ...] + out
+    out = rng.standard_normal(dims if size is None else (size, *dims))
+    lead = out.ndim - p.mean.ndim
+    for k, sg in enumerate(p.mode_grams):
+        out = mode_k_product(out, (sg.eigvecs * np.sqrt(sg.eigvals)) @ sg.eigvecs.T, k + lead)
+    return p.mean + out
 
 
 def sample_tensor_t(
@@ -138,13 +110,9 @@ def sample_tensor_t(
     scales the whole draw by eta^(-1/2).
     """
     normal = TensorNormalParams(np.zeros_like(p.mean), p.mode_grams)
-    if size is None:
-        eta = rng.gamma(shape=0.5 * p.nu, scale=2.0 / p.nu)
-        return p.mean + sample_tensor_normal(rng, normal) / math.sqrt(eta)
     eta = rng.gamma(shape=0.5 * p.nu, scale=2.0 / p.nu, size=size)
     draws = sample_tensor_normal(rng, normal, size=size)
-    scale = 1.0 / np.sqrt(eta).reshape((size,) + (1,) * p.mean.ndim)
-    return p.mean[None, ...] + draws * scale
+    return p.mean + draws / np.reshape(np.sqrt(eta), np.shape(eta) + (1,) * p.mean.ndim)
 
 
 def sample_finite_tucker(
@@ -162,17 +130,11 @@ def sample_finite_tucker(
     for k, f in enumerate(maps):
         if f.ndim != 2 or f.shape[1] != r:
             raise ShapeError(f"feature map {k} must have {r} columns, got {f.shape}")
-    kk = len(maps)
-    if size is None:
-        core = rng.standard_normal((r,) * kk)
-        out = core
-        for k, f in enumerate(maps):
-            out = mode_k_product(out, f, k)
-        return out
-    core = rng.standard_normal((size,) + (r,) * kk)
-    out = core
+    core = (r,) * len(maps)
+    out = rng.standard_normal(core if size is None else (size, *core))
+    lead = out.ndim - len(maps)
     for k, f in enumerate(maps):
-        out = mode_k_product(out, f, k + 1)
+        out = mode_k_product(out, f, k + lead)
     return out
 
 

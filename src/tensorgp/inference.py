@@ -47,11 +47,15 @@ from typing import Sequence
 import numpy as np
 from scipy.special import digamma, gammaln, log_ndtr
 
-from .distributions import LOG_2PI, _log_det_terms, truncated_normal_mean
+from .distributions import LOG_2PI, truncated_normal_mean
 from .errors import NumericalError, ShapeError
-from .kernels import KernelSpec, SpectralGram, gram_matrix
+from .kernels import (
+    KernelSpec, SpectralGram, basis_change_diags, from_eigenbasis, gram_matrix,
+    kron_eigvals, kron_logdet, kron_quad, to_eigenbasis,
+)
 from .optim import OptimResult, minimize_l1
-from .tensors import mode_k_product, multi_mode_vector_contract
+# mode_k_product is unused here; the benchmark tracer (bench/spans.py) rebinds it.
+from .tensors import mode_k_product, multi_mode_vector_contract  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -164,28 +168,6 @@ def e_step_z(mu: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return ez
 
 
-def _eigval_product_tensor(mode_grams: Sequence[SpectralGram]) -> np.ndarray:
-    """Tensor of Kronecker eigenvalues: entry j is prod_k eigvals_k[j_k]."""
-    out = np.asarray(mode_grams[0].eigvals, dtype=np.float64)
-    for sg in mode_grams[1:]:
-        out = np.multiply.outer(out, sg.eigvals)
-    return out.reshape(tuple(sg.size for sg in mode_grams))
-
-
-def _to_eigenbasis(t: np.ndarray, mode_grams: Sequence[SpectralGram]) -> np.ndarray:
-    out = t
-    for k, sg in enumerate(mode_grams):
-        out = mode_k_product(out, sg.eigvecs.T, k)
-    return out
-
-
-def _from_eigenbasis(t: np.ndarray, mode_grams: Sequence[SpectralGram]) -> np.ndarray:
-    out = t
-    for k, sg in enumerate(mode_grams):
-        out = mode_k_product(out, sg.eigvecs, k)
-    return out
-
-
 def e_step_m(
     target: np.ndarray,
     mode_grams: Sequence[SpectralGram],
@@ -199,7 +181,7 @@ def e_step_m(
     per-mode products.  Only O(n) memory is touched.
     """
     target = np.asarray(target, dtype=np.float64)
-    lam = _eigval_product_tensor(mode_grams)
+    lam = kron_eigvals(mode_grams)
     if lam.shape != target.shape:
         raise ShapeError(f"Gram dims {lam.shape} != target dims {target.shape}")
     if np.any(lam <= 0):
@@ -207,7 +189,7 @@ def e_step_m(
     rho2 = rho * rho
     ups_diag = rho2 * lam / (tau * rho2 + lam)
     coeff = lam / (tau * rho2 + lam)
-    mu = _from_eigenbasis(_to_eigenbasis(target, mode_grams) * coeff, mode_grams)
+    mu = from_eigenbasis(to_eigenbasis(target, mode_grams) * coeff, mode_grams)
     return mu, ups_diag
 
 
@@ -220,12 +202,6 @@ def trace_sigma_inv_upsilon(
     )
 
 
-def _prior_quad(mu: np.ndarray, mode_grams: Sequence[SpectralGram]) -> float:
-    """mu' S_p^{-1} mu through the eigenbasis."""
-    mt = _to_eigenbasis(mu, mode_grams)
-    return multi_mode_vector_contract(mt * mt, [1.0 / sg.eigvals for sg in mode_grams])
-
-
 def e_step_eta(
     nu: float,
     mu: np.ndarray,
@@ -235,7 +211,7 @@ def e_step_eta(
     """Gamma posterior over the t-process precision mixer."""
     n = mu.size
     beta1 = 0.5 * (nu + n)
-    beta2 = 0.5 * (nu + _prior_quad(mu, mode_grams) + trace_sigma_inv_upsilon(mode_grams, ups_diag))
+    beta2 = 0.5 * (nu + kron_quad(mu, mode_grams) + trace_sigma_inv_upsilon(mode_grams, ups_diag))
     return beta1, beta2, beta1 / beta2
 
 
@@ -257,27 +233,6 @@ def _candidate_grams(
     ]
 
 
-def _basis_change_diags(
-    new_grams: Sequence[SpectralGram], basis: Sequence[SpectralGram]
-) -> list[np.ndarray]:
-    """Per mode: diag(V_old' S_new^{-1} V_old), the trace-term weights."""
-    out = []
-    for new, old in zip(new_grams, basis):
-        a = new.eigvecs.T @ old.eigvecs
-        out.append((a * a).T @ (1.0 / new.eigvals))
-    return out
-
-
-def _frozen_trace(
-    new_grams: Sequence[SpectralGram],
-    state: VariationalState,
-) -> float:
-    """tr(S_p(U)^{-1} Ups) with Ups frozen in the E-step eigenbasis."""
-    return multi_mode_vector_contract(
-        state.ups_diag, _basis_change_diags(new_grams, state.basis)
-    )
-
-
 def _m_step_smooth(
     factors: Sequence[np.ndarray],
     state: VariationalState,
@@ -286,10 +241,10 @@ def _m_step_smooth(
 ) -> float:
     if new_grams is None:
         new_grams = _candidate_grams(factors, state, config)
-    logdet = _log_det_terms(state.mu.shape, new_grams)
-    quad = _prior_quad(state.mu, new_grams)
-    trace = _frozen_trace(new_grams, state)
-    return logdet + state.tau * (quad + trace)
+    quad = kron_quad(state.mu, new_grams)
+    # tr(S_p(U)^{-1} Ups) with Ups frozen in the E-step eigenbasis.
+    trace = multi_mode_vector_contract(state.ups_diag, basis_change_diags(new_grams, state.basis))
+    return kron_logdet(new_grams) + state.tau * (quad + trace)
 
 
 def m_step_objective(
@@ -324,36 +279,32 @@ def m_step_gradient(
 
     where C_k is the mode-k unfolding product of the inverse-weighted
     posterior mean with itself and Q_k pushes the frozen covariance diagonal
-    through the basis change.  The kernel adjoint then turns G_k into the
-    factor-entry gradient without touching any Kronecker matrix.
+    through the basis change.  G_k is assembled in the eigenbasis V_k of the
+    candidate S_k and rotated back once: with m = mu in the Kronecker
+    eigenbasis and lam its eigenvalues, V_k' C_k V_k = [unfold_k(m / lam)
+    unfold_k(m)'] diag(1/lam_k), and Q_k needs only A_k = V_k' V_old.  The
+    kernel adjoint then turns G_k into the factor-entry gradient without
+    touching any Kronecker matrix.
     """
     from .kernels import gram_gradient_contract
 
     new_grams = _candidate_grams(factors, state, config)
     specs = config.kernels(len(factors))
     n = state.mu.size
-    inverses = [
-        (g.eigvecs / g.eigvals) @ g.eigvecs.T for g in new_grams
-    ]
-    mu = state.mu
-    # Posterior mean with every mode hit by the inverse Gram.
-    h_all = mu
-    for k, inv in enumerate(inverses):
-        h_all = mode_k_product(h_all, inv, k)
-    w_diags = _basis_change_diags(new_grams, state.basis)
+    m_eig = to_eigenbasis(state.mu, new_grams)
+    m_scaled = m_eig / kron_eigvals(new_grams)
+    w_diags = basis_change_diags(new_grams, state.basis)
 
     grads = []
-    for k, (spec, u) in enumerate(zip(specs, factors)):
-        nk = u.shape[0]
-        unfold = lambda t: np.moveaxis(t, k, 0).reshape(nk, -1)
-        g_k = mode_k_product(mu, inverses[k], k)
-        c_k = unfold(h_all) @ unfold(g_k).T
+    for k, (spec, u, new, old) in enumerate(zip(specs, factors, new_grams, state.basis)):
+        others = [j for j in range(len(factors)) if j != k]
+        inv = 1.0 / new.eigvals
+        c_k = np.tensordot(m_scaled, m_eig, axes=(others, others)) * inv
+        a_k = new.eigvecs.T @ old.eigvecs
         s_vec = _contract_except(state.ups_diag, w_diags, k)
-        v_old = state.basis[k].eigvecs
-        q_inner = (v_old * s_vec) @ v_old.T
-        q_k = inverses[k] @ q_inner @ inverses[k]
-        weight = (n / nk) * inverses[k] - state.tau * (c_k + q_k)
-        grads.append(gram_gradient_contract(spec, u, weight))
+        q_k = inv[:, None] * ((a_k * s_vec) @ a_k.T) * inv
+        weight = np.diag((n / u.shape[0]) * inv) - state.tau * (c_k + q_k)
+        grads.append(gram_gradient_contract(spec, u, new.eigvecs @ weight @ new.eigvecs.T))
     return grads
 
 
@@ -506,12 +457,6 @@ def fit(
 
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return _fit_once(y, mask, config, rng)
-
-
-def _fit_once(
-    y: np.ndarray, mask: np.ndarray, config: ModelConfig, rng: np.random.Generator
-) -> FittedModel:
     dims = y.shape
     order = y.ndim
     ranks = config.ranks(order)
@@ -531,11 +476,10 @@ def _fit_once(
         if grams is None:
             grams = [gram_matrix(spec, u) for spec, u in zip(specs, factors)]
 
+        zbar_loc = mu
         if config.noise == "probit":
-            zbar_loc = mu
             ez = e_step_z(mu, y, mask)
         else:
-            zbar_loc = mu
             ez = np.where(mask, y, mu)
         mu, ups_diag = e_step_m(ez, grams, tau, rho)
         if config.process == "t_process":

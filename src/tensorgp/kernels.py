@@ -1,9 +1,14 @@
-"""Covariance functions over factor rows and spectral Gram machinery.
+"""Covariance functions over factor rows and the Kronecker-spectral core.
 
 Each tensor mode carries a Gram matrix built from a covariance function
 evaluated between rows of that mode's factor matrix.  Downstream computations
 only ever touch the Gram matrix through its symmetric eigendecomposition, so
 the decomposition is computed eagerly and stored alongside the matrix.
+
+S = S_1 x ... x S_K is diagonal in the product of the mode eigenbases, so
+log-determinants, quadratic forms, traces and solves are per-mode products
+plus eigenvalue arithmetic.  The functions at the end of this module are that
+algebra, shared by the E-step, M-step, objective, prediction and densities.
 
 Supported families (``t`` the exponent of the distance):
 
@@ -18,12 +23,15 @@ evaluation harness, never optimized inside EM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import NumericalError, ShapeError
+from .tensors import mode_k_product, multi_mode_vector_contract
 
 FAMILIES = ("gaussian", "exponential", "linear")
 
@@ -140,3 +148,59 @@ def gram_gradient_contract(spec: KernelSpec, rows: np.ndarray, weights: np.ndarr
             t = np.where(dist > 0, weights * k / dist, 0.0)
         coeff = 2.0 * spec.gamma
     return -coeff * (t.sum(axis=1)[:, None] * rows - t @ rows)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-spectral core
+# ---------------------------------------------------------------------------
+
+
+def kron_eigvals(grams: Sequence[SpectralGram]) -> np.ndarray:
+    """Tensor of Kronecker eigenvalues: entry j is prod_k eigvals_k[j_k]."""
+    out = np.asarray(grams[0].eigvals, dtype=np.float64)
+    for sg in grams[1:]:
+        out = np.multiply.outer(out, sg.eigvals)
+    return out.reshape(tuple(sg.size for sg in grams))
+
+
+def to_eigenbasis(t: np.ndarray, grams: Sequence[SpectralGram]) -> np.ndarray:
+    """Coordinates of ``t`` in the Kronecker eigenbasis: t x_1 V_1' ... x_K V_K'."""
+    out = t
+    for k, sg in enumerate(grams):
+        out = mode_k_product(out, sg.eigvecs.T, k)
+    return out
+
+
+def from_eigenbasis(t: np.ndarray, grams: Sequence[SpectralGram]) -> np.ndarray:
+    """Inverse of :func:`to_eigenbasis`: t x_1 V_1 ... x_K V_K."""
+    out = t
+    for k, sg in enumerate(grams):
+        out = mode_k_product(out, sg.eigvecs, k)
+    return out
+
+
+def kron_logdet(grams: Sequence[SpectralGram]) -> float:
+    """log|S_1 x ... x S_K| = sum_k (n / n_k) * log|S_k|."""
+    n = math.prod(sg.size for sg in grams)
+    return sum(n / sg.size * float(np.sum(np.log(sg.eigvals))) for sg in grams)
+
+
+def kron_quad(t: np.ndarray, grams: Sequence[SpectralGram]) -> float:
+    """vec(t)' S^{-1} vec(t) through the eigenbasis."""
+    te = to_eigenbasis(t, grams)
+    return multi_mode_vector_contract(te * te, [1.0 / sg.eigvals for sg in grams])
+
+
+def basis_change_diags(
+    new: Sequence[SpectralGram], old: Sequence[SpectralGram]
+) -> list[np.ndarray]:
+    """Per mode: diag(V_old' S_new^{-1} V_old).
+
+    Contracting a diagonal tensor D held in the old eigenbasis against these
+    vectors (``multi_mode_vector_contract``) gives tr(S_new^{-1} V_old D V_old').
+    """
+    out = []
+    for n_sg, o_sg in zip(new, old):
+        a = n_sg.eigvecs.T @ o_sg.eigvecs
+        out.append((a * a).T @ (1.0 / n_sg.eigvals))
+    return out

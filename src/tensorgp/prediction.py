@@ -26,7 +26,8 @@ import numpy as np
 
 from .distributions import std_normal_cdf
 from .errors import ShapeError
-from .inference import FittedModel, _eigval_product_tensor, _to_eigenbasis
+from .inference import FittedModel
+from .kernels import kron_eigvals, to_eigenbasis
 from .tensors import multi_mode_vector_contract
 
 logger = logging.getLogger(__name__)
@@ -71,9 +72,9 @@ class _SolveContext:
         self.rho = rho
         self.tau_star = model.tau_star
         shift = rho * rho * self.tau_star
-        lam = _eigval_product_tensor(model.mode_grams)
+        lam = kron_eigvals(model.mode_grams)
         self.resolvent = 1.0 / (lam + shift)
-        target_eig = _to_eigenbasis(np.asarray(model.state.ez, dtype=np.float64), model.mode_grams)
+        target_eig = to_eigenbasis(np.asarray(model.state.ez, dtype=np.float64), model.mode_grams)
         self.solved_target = target_eig * self.resolvent
 
     def moments(self, idx: Sequence[int]) -> PredictiveMoments:

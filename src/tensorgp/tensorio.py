@@ -206,6 +206,8 @@ def _read_binary(fh, first_line: bytes) -> tuple[np.ndarray, np.ndarray]:
         )
     if complete < count:
         raise TensorFormatError(f"record {complete + 1}: truncated binary tensor file")
+    if len(buf) > count * dtype.itemsize:
+        raise TensorFormatError(f"binary tensor file has bytes past its {count} declared records")
 
     t = np.zeros(dims)
     mask = np.zeros(dims, dtype=bool)
@@ -413,24 +415,14 @@ def parse_config(path) -> dict:
 
 
 def model_config_from_dict(d: dict, seed_override: int | None = None) -> ModelConfig:
-    kwargs = {}
-    for key in _MODEL_KEYS:
-        if key not in d:
-            continue
-        if key == "kernel":
-            kwargs["kernel"] = KernelSpec(d["kernel"], d.get("gamma", 1.0))
-        elif key == "gamma":
-            continue  # folded into the kernel spec
-        elif key == "rank":
-            ranks = d["rank"]
-            kwargs["rank"] = ranks[0] if len(ranks) == 1 else ranks
-        else:
-            kwargs[key] = d[key]
-    if "kernel" not in kwargs and "gamma" in d:
-        kwargs["kernel"] = KernelSpec("gaussian", d["gamma"])
+    kwargs = {key: d[key] for key in _MODEL_KEYS if key in d and key not in ("kernel", "gamma")}
+    if "rank" in d:
+        kwargs["rank"] = d["rank"][0] if len(d["rank"]) == 1 else d["rank"]
     if seed_override is not None:
         kwargs["seed"] = seed_override
+    default = ModelConfig.kernel
     try:
+        kwargs["kernel"] = KernelSpec(d.get("kernel", default.family), d.get("gamma", default.gamma))
         return ModelConfig(**kwargs)
     except (ValueError, TypeError) as err:
         raise ConfigError(str(err)) from None
@@ -439,6 +431,9 @@ def model_config_from_dict(d: dict, seed_override: int | None = None) -> ModelCo
 # Config keys whose ExperimentSpec field has another name; every other
 # config key that names a field fills it directly.
 _SPEC_RENAMES = {"kernel": "kernel_family", "gaussian_sigma": "sigma"}
+# Model keys that eval searches over: without its grid key, a value is a
+# one-point grid.
+_SPEC_GRIDS = {"gamma": "gamma_grid", "l1_lambda": "lambda_grid", "rank": "rank_grid"}
 
 
 def experiment_spec_from_dict(d: dict, seed_override: int | None = None) -> ExperimentSpec:
@@ -448,6 +443,11 @@ def experiment_spec_from_dict(d: dict, seed_override: int | None = None) -> Expe
         attr = _SPEC_RENAMES.get(key, key)
         if key in d and attr in spec_fields:
             kwargs[attr] = tuple(d[key]) if key == "dims" else d[key]
+    for key, grid in _SPEC_GRIDS.items():
+        if key in d and grid not in d:
+            if key == "rank" and len(d[key]) > 1:
+                raise ConfigError("eval takes one rank per run; list several in rank_grid")
+            kwargs[grid] = list(d[key]) if key == "rank" else [d[key]]
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:

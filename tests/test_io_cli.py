@@ -172,6 +172,12 @@ class TestBinaryTensorFiles:
         with pytest.raises(TensorFormatError, match="negative record count -1"):
             read_tensor(path)
 
+    def test_bytes_past_declared_records(self, tmp_path):
+        path = tmp_path / "x.bin"
+        _binary_file(path, "tensorbin 1 3", [(1, 1.0), (2, 2.0)], count=1)
+        with pytest.raises(TensorFormatError, match="past its 1 declared records"):
+            read_tensor(path)
+
 
 class TestModelSerialization:
     def _fitted(self, rng):
@@ -274,6 +280,28 @@ class TestRunConfig:
         spec = experiment_spec_from_dict(d)
         assert spec.dims == (4, 4, 4)
         assert spec.gamma_grid == [0.1, 0.3]
+
+    def test_gamma_defaults_to_model_config(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for text in ("kernel = gaussian\n", "seed = 1\n"):
+            path.write_text(text)
+            assert model_config_from_dict(parse_config(path)).kernel == ModelConfig().kernel
+
+    def test_eval_model_values_become_one_point_grids(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("gamma = 0.9\nl1_lambda = 10\nrank = 5\n")
+        spec = experiment_spec_from_dict(parse_config(path))
+        assert (spec.gamma_grid, spec.lambda_grid, spec.rank_grid) == ([0.9], [10.0], [5])
+        path.write_text("gamma = 0.9\nl1_lambda = 10\nrank = 5, 6\n"
+                        "gamma_grid = 0.1 0.2\nlambda_grid = 1\nrank_grid = 2\n")
+        spec = experiment_spec_from_dict(parse_config(path))
+        assert (spec.gamma_grid, spec.lambda_grid, spec.rank_grid) == ([0.1, 0.2], [1.0], [2])
+
+    def test_eval_rejects_per_mode_rank_without_grid(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("rank = 2, 3\n")
+        with pytest.raises(ConfigError, match="rank_grid"):
+            experiment_spec_from_dict(parse_config(path))
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
