@@ -221,16 +221,56 @@ def e_step_eta(
 
 
 def _candidate_grams(
-    factors: Sequence[np.ndarray], state: VariationalState, config: ModelConfig
+    factors: Sequence[np.ndarray], state: VariationalState, specs: Sequence[KernelSpec]
 ) -> list[SpectralGram]:
     """Grams at a candidate factor point, jitter frozen from the E-step."""
     if state.basis is None:
         raise ValueError("variational state carries no eigenbasis; run an E-step first")
-    specs = config.kernels(len(factors))
     return [
         gram_matrix(spec, u, jitter=base.jitter_applied)
         for spec, u, base in zip(specs, factors, state.basis)
     ]
+
+
+@dataclass
+class _SpectralPoint:
+    """What the M-step value and gradient share at one candidate factor point.
+
+    ``m_eig`` is mu in the Kronecker eigenbasis of the candidate Grams and
+    ``w_diags`` the per-mode diagonals that carry the frozen covariance
+    diagonal into it.  ``grad`` holds the flattened gradient once computed.
+    """
+
+    factors: list[np.ndarray]
+    grams: list[SpectralGram]
+    m_eig: np.ndarray
+    w_diags: list[np.ndarray]
+    grad: np.ndarray | None = None
+
+
+def _spectral_point(
+    factors: Sequence[np.ndarray],
+    state: VariationalState,
+    specs: Sequence[KernelSpec],
+    grams: Sequence[SpectralGram] | None = None,
+) -> _SpectralPoint:
+    if grams is None:
+        grams = _candidate_grams(factors, state, specs)
+    return _SpectralPoint(
+        list(factors),
+        list(grams),
+        to_eigenbasis(state.mu, grams),
+        basis_change_diags(grams, state.basis),
+    )
+
+
+def _smooth_at(point: _SpectralPoint, state: VariationalState) -> float:
+    quad = multi_mode_vector_contract(
+        point.m_eig * point.m_eig, [1.0 / sg.eigvals for sg in point.grams]
+    )
+    # tr(S_p(U)^{-1} Ups) with Ups frozen in the E-step eigenbasis.
+    trace = multi_mode_vector_contract(state.ups_diag, point.w_diags)
+    return kron_logdet(point.grams) + state.tau * (quad + trace)
 
 
 def _m_step_smooth(
@@ -239,12 +279,8 @@ def _m_step_smooth(
     config: ModelConfig,
     new_grams: Sequence[SpectralGram] | None = None,
 ) -> float:
-    if new_grams is None:
-        new_grams = _candidate_grams(factors, state, config)
-    quad = kron_quad(state.mu, new_grams)
-    # tr(S_p(U)^{-1} Ups) with Ups frozen in the E-step eigenbasis.
-    trace = multi_mode_vector_contract(state.ups_diag, basis_change_diags(new_grams, state.basis))
-    return kron_logdet(new_grams) + state.tau * (quad + trace)
+    specs = config.kernels(len(factors))
+    return _smooth_at(_spectral_point(factors, state, specs, new_grams), state)
 
 
 def m_step_objective(
@@ -267,6 +303,26 @@ def _contract_except(d: np.ndarray, vecs: Sequence[np.ndarray], skip: int) -> np
     return out
 
 
+def _gradient_at(
+    point: _SpectralPoint, state: VariationalState, specs: Sequence[KernelSpec]
+) -> list[np.ndarray]:
+    from .kernels import gram_gradient_contract
+
+    n = state.mu.size
+    m_scaled = point.m_eig / kron_eigvals(point.grams)
+    grads = []
+    for k, (spec, u, new, old) in enumerate(zip(specs, point.factors, point.grams, state.basis)):
+        others = [j for j in range(len(point.factors)) if j != k]
+        inv = 1.0 / new.eigvals
+        c_k = np.tensordot(m_scaled, point.m_eig, axes=(others, others)) * inv
+        a_k = new.eigvecs.T @ old.eigvecs
+        s_vec = _contract_except(state.ups_diag, point.w_diags, k)
+        q_k = inv[:, None] * ((a_k * s_vec) @ a_k.T) * inv
+        weight = np.diag((n / u.shape[0]) * inv) - state.tau * (c_k + q_k)
+        grads.append(gram_gradient_contract(spec, u, new.eigvecs @ weight @ new.eigvecs.T))
+    return grads
+
+
 def m_step_gradient(
     factors: Sequence[np.ndarray], state: VariationalState, config: ModelConfig
 ) -> list[np.ndarray]:
@@ -286,26 +342,8 @@ def m_step_gradient(
     kernel adjoint then turns G_k into the factor-entry gradient without
     touching any Kronecker matrix.
     """
-    from .kernels import gram_gradient_contract
-
-    new_grams = _candidate_grams(factors, state, config)
     specs = config.kernels(len(factors))
-    n = state.mu.size
-    m_eig = to_eigenbasis(state.mu, new_grams)
-    m_scaled = m_eig / kron_eigvals(new_grams)
-    w_diags = basis_change_diags(new_grams, state.basis)
-
-    grads = []
-    for k, (spec, u, new, old) in enumerate(zip(specs, factors, new_grams, state.basis)):
-        others = [j for j in range(len(factors)) if j != k]
-        inv = 1.0 / new.eigvals
-        c_k = np.tensordot(m_scaled, m_eig, axes=(others, others)) * inv
-        a_k = new.eigvecs.T @ old.eigvecs
-        s_vec = _contract_except(state.ups_diag, w_diags, k)
-        q_k = inv[:, None] * ((a_k * s_vec) @ a_k.T) * inv
-        weight = np.diag((n / u.shape[0]) * inv) - state.tau * (c_k + q_k)
-        grads.append(gram_gradient_contract(spec, u, new.eigvecs @ weight @ new.eigvecs.T))
-    return grads
+    return _gradient_at(_spectral_point(factors, state, specs), state, specs)
 
 
 def optimize_factors(
@@ -314,18 +352,37 @@ def optimize_factors(
     config: ModelConfig,
     gtol: float = 1e-6,
 ) -> tuple[list[np.ndarray], OptimResult]:
-    """Run the l1 quasi-Newton step on the flattened factor entries."""
+    """Run the l1 quasi-Newton step on the flattened factor entries.
+
+    The solver asks for the value and then the gradient at each accepted
+    point, so the last candidate's spectral state (Grams, eigenbasis
+    coordinates of mu, basis-change diagonals, gradient) is kept, keyed on
+    the bytes of x, and both callbacks read it.
+    """
     shapes = [u.shape for u in initial]
     splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    specs = config.kernels(len(initial))
+    cache: dict[bytes, _SpectralPoint] = {}
 
     def unpack(x: np.ndarray) -> list[np.ndarray]:
         return [part.reshape(shape) for part, shape in zip(np.split(x, splits), shapes)]
 
+    def point_at(x: np.ndarray) -> _SpectralPoint:
+        key = x.tobytes()
+        if key not in cache:
+            cache.clear()
+            # A private copy, so a caller reusing x cannot alter the entry.
+            cache[key] = _spectral_point(unpack(x.copy()), state, specs)
+        return cache[key]
+
     def fun(x: np.ndarray) -> float:
-        return _m_step_smooth(unpack(x), state, config)
+        return _smooth_at(point_at(x), state)
 
     def grad(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in m_step_gradient(unpack(x), state, config)])
+        point = point_at(x)
+        if point.grad is None:
+            point.grad = np.concatenate([g.ravel() for g in _gradient_at(point, state, specs)])
+        return point.grad.copy()
 
     x0 = np.concatenate([np.asarray(u, dtype=np.float64).ravel() for u in initial])
     res = minimize_l1(

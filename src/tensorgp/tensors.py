@@ -20,6 +20,7 @@ Conventions at API boundaries:
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -48,10 +49,16 @@ def multi_index(j: int, dims: Sequence[int]) -> tuple[int, ...]:
 def mode_k_product(t: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     """Contract mode ``k`` (0-based) of ``t`` against the columns of ``m``.
 
-    ``m`` has shape (rows, t.shape[k]); the result replaces dimension k by
-    ``rows``.
+    ``m`` has shape (rows, t.shape[k]); the result is a new C-contiguous
+    tensor with dimension k replaced by ``rows``.
+
+    A C-order ``t`` (other layouts are copied to C order first) is viewed,
+    without copying, as a stack of (n_k, after) matrices, one per index of
+    the modes before k, so the product is one batched GEMM ``m @ t3``; for
+    the last mode it is the single GEMM ``t2 @ m.T``.  Neither ``t`` nor the
+    result is ever transposed in memory.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = as_tensor(t)
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"mode-{k} factor must be a matrix, got ndim={m.ndim}")
@@ -61,8 +68,13 @@ def mode_k_product(t: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
         raise ShapeError(
             f"mode-{k} factor has {m.shape[1]} columns, tensor dimension is {t.shape[k]}"
         )
-    out = np.tensordot(t, m, axes=([k], [1]))
-    return np.ascontiguousarray(np.moveaxis(out, -1, k))
+    shape = t.shape
+    before, after = math.prod(shape[:k]), math.prod(shape[k + 1 :])
+    if after == 1:
+        out = t.reshape(before, shape[k]) @ m.T
+    else:
+        out = np.matmul(m, t.reshape(before, shape[k], after))
+    return out.reshape(shape[:k] + (m.shape[0],) + shape[k + 1 :])
 
 
 def frobenius_norm_sq(t: np.ndarray) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from tensorgp import oracle
+from tensorgp import inference, oracle
 from tensorgp.errors import ShapeError
 from tensorgp.inference import (
     FittedModel,
@@ -13,6 +13,7 @@ from tensorgp.inference import (
     e_step_m,
     e_step_z,
     fit,
+    init_factors,
     m_step_gradient,
     m_step_objective,
     optimize_factors,
@@ -20,6 +21,7 @@ from tensorgp.inference import (
     tracked_objective,
 )
 from tensorgp.kernels import KernelSpec, SpectralGram, gram_matrix
+from tensorgp.optim import OptimResult
 from tensorgp.distributions import truncated_normal_mean
 
 
@@ -354,6 +356,108 @@ class TestOptimizeFactors:
         _, res = optimize_factors(factors, state, config, gtol=1e-7)
         if res.converged:
             assert res.max_pseudo_gradient <= 1e-7
+
+
+def _mstep_case(rng, noise, process, dims=(4, 3, 3)):
+    """Initial factors, an E-step state and the config for one M-step."""
+    spec = KernelSpec("gaussian", 0.4)
+    config = ModelConfig(
+        noise=noise, process=process, kernel=spec, rank=2, l1_lambda=0.2,
+        gaussian_sigma=0.5, mstep_max_iters=15,
+    )
+    factors = init_factors(dims, config.ranks(len(dims)), rng)
+    grams = [gram_matrix(spec, u) for u in factors]
+    mask = rng.random(dims) < 0.7
+    if noise == "probit":
+        target = e_step_z(np.zeros(dims), (rng.normal(size=dims) > 0).astype(float), mask)
+        rho = 1.0
+    else:
+        target = np.where(mask, rng.normal(size=dims), 0.0)
+        rho = config.gaussian_sigma
+    mu, d = e_step_m(target, grams, 1.0, rho)
+    b1 = b2 = tau = 1.0
+    if process == "t_process":
+        b1, b2, tau = e_step_eta(config.nu, mu, d, grams)
+    state = VariationalState(
+        ez=target, mu=mu, ups_diag=d, beta1=b1, beta2=b2, tau=tau, basis=grams
+    )
+    return factors, state, config
+
+
+class TestMStepSpectralCache:
+    """optimize_factors shares one spectral state between its value and gradient."""
+
+    @pytest.mark.parametrize(
+        "noise, process", [("probit", "t_process"), ("gaussian", "gaussian_process")]
+    )
+    def test_adversarial_call_order(self, rng, monkeypatch, noise, process):
+        factors, state, config = _mstep_case(rng, noise, process)
+        shapes = [u.shape for u in factors]
+        splits = np.cumsum([u.size for u in factors])[:-1]
+
+        def unpack(x):
+            return [p.reshape(s) for p, s in zip(np.split(x, splits), shapes)]
+
+        x1 = np.concatenate([u.ravel() for u in factors])
+        x2 = x1 + 0.1 * rng.normal(size=x1.shape)
+        calls = []
+
+        def scripted_solver(fun, grad, x0, **kwargs):
+            calls.append(("fun", x1, fun(x1)))
+            calls.append(("fun", x2, fun(x2)))
+            calls.append(("grad", x1, grad(x1)))
+            calls.append(("grad", x1, grad(x1)))
+            calls.append(("fun", x2, fun(x2)))
+            g = grad(x2)
+            calls.append(("grad", x2, g.copy()))
+            g[:] = 0.0
+            calls.append(("grad", x2, grad(x2)))
+            # Overwriting an array after it was evaluated must not alter the cache.
+            buf = x1.copy()
+            calls.append(("fun", x1, fun(buf)))
+            buf[:] = x2
+            calls.append(("grad", x1, grad(x1)))
+            calls.append(("grad", x2, grad(buf)))
+            return OptimResult(x0, 0.0, 0, True, False, 0.0)
+
+        monkeypatch.setattr(inference, "minimize_l1", scripted_solver)
+        optimize_factors(factors, state, config)
+        assert len(calls) == 10
+        for kind, x, got in calls:
+            if kind == "fun":
+                assert got == _m_step_smooth(unpack(x), state, config)
+            else:
+                want = np.concatenate([g.ravel() for g in m_step_gradient(unpack(x), state, config)])
+                np.testing.assert_array_equal(got, want)
+
+    def test_gradient_builds_no_grams(self, rng, monkeypatch):
+        # Each value call builds the K candidate Grams once; every gradient
+        # call, the solver's final one included, reads them from the cache.
+        factors, state, config = _mstep_case(rng, "gaussian", "t_process")
+        counts = {"gram": 0, "fun": 0, "grad": 0}
+        real_gram, real_minimize = inference.gram_matrix, inference.minimize_l1
+
+        def counting_gram(*args, **kwargs):
+            counts["gram"] += 1
+            return real_gram(*args, **kwargs)
+
+        def counting_minimize(fun, grad, x0, **kwargs):
+            def value(x):
+                counts["fun"] += 1
+                return fun(x)
+
+            def gradient(x):
+                counts["grad"] += 1
+                return grad(x)
+
+            return real_minimize(value, gradient, x0, **kwargs)
+
+        monkeypatch.setattr(inference, "gram_matrix", counting_gram)
+        monkeypatch.setattr(inference, "minimize_l1", counting_minimize)
+        _, res = optimize_factors(factors, state, config)
+        assert not res.line_search_failed
+        assert counts["grad"] >= 3
+        assert counts["gram"] == len(factors) * counts["fun"]
 
 
 class TestFit:

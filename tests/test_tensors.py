@@ -74,6 +74,55 @@ class TestModeKProduct:
         np.testing.assert_allclose(one, two, rtol=1e-12)
 
 
+def _einsum_mode_product(t, m, k):
+    idx = "abcd"[: t.ndim]
+    return np.einsum(f"{idx},z{idx[k]}->{idx[:k]}z{idx[k + 1:]}", t, m)
+
+
+# Each maps a fresh C-order array of the wanted shape to another memory layout.
+LAYOUTS = {
+    "c_order": lambda a: a,
+    "transposed": lambda a: np.ascontiguousarray(a.T).T,
+    "strided_slice": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+    "fortran": np.asfortranarray,
+}
+
+
+class TestModeKProductLayouts:
+    """Any memory layout of ``t`` and ``m``, orders 1-4, every mode, against einsum."""
+
+    def _check(self, t, m, k):
+        before = t.copy()
+        out = mode_k_product(t, m, k)
+        expected = _einsum_mode_product(t, m, k)
+        assert out.shape == expected.shape
+        assert out.flags.c_contiguous
+        assert not np.shares_memory(out, t)
+        np.testing.assert_array_equal(t, before)
+        # Relative to the product of absolute values, the scale of each sum's round-off.
+        scale = _einsum_mode_product(np.abs(t), np.abs(m), k)
+        assert np.all(np.abs(out - expected) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("t_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("m_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_einsum(self, rng, order, t_layout, m_layout):
+        dims = (3, 4, 2, 5)[:order]
+        t = LAYOUTS[t_layout](rng.normal(size=dims))
+        assert t.shape == dims
+        for k in range(order):
+            m = LAYOUTS[m_layout](rng.normal(size=(dims[k] + 2, dims[k])))
+            assert m.shape == (dims[k] + 2, dims[k])
+            self._check(t, m, k)
+
+    @pytest.mark.parametrize("dims", [(3, 0, 4), (0, 2), (2, 3, 0), (0,)])
+    def test_zero_length_dimension(self, rng, dims):
+        t = rng.normal(size=dims)
+        for k in range(len(dims)):
+            for rows in (0, dims[k] + 1):
+                self._check(t, rng.normal(size=(rows, dims[k])), k)
+
+
 class TestTuckerMultiply:
     """Chained mode products against the Kronecker identity the package relies on."""
 
