@@ -66,8 +66,7 @@ def _oracle_check(model, y) -> None:
         return
     state = model.state
     config = model.config
-    rho = 1.0 if config.noise == "probit" else config.gaussian_sigma
-    dense = oracle.dense_posterior(state.ez, state.basis, state.tau, rho)
+    dense = oracle.dense_posterior(state.ez, state.basis, state.tau, config.rho)
 
     def rel(a, b):
         a = np.asarray(a, dtype=np.float64)

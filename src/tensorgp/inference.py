@@ -94,6 +94,15 @@ class ModelConfig:
             raise ValueError("gaussian_sigma must be positive")
         if self.l1_lambda < 0:
             raise ValueError("l1_lambda must be nonnegative")
+        if self.max_em_iters < 1:
+            raise ValueError("max_em_iters must be at least 1")
+        if self.mstep_max_iters < 0:
+            raise ValueError("mstep_max_iters must be nonnegative")
+
+    @property
+    def rho(self) -> float:
+        """Latent noise scale: 1 for probit, ``gaussian_sigma`` for Gaussian noise."""
+        return 1.0 if self.noise == "probit" else self.gaussian_sigma
 
     def ranks(self, order: int) -> list[int]:
         if isinstance(self.rank, int):
@@ -120,11 +129,14 @@ class VariationalState:
     of the latent posterior covariance in the eigenbasis carried by
     ``basis`` (the Grams the E-step ran with); ``zbar_loc`` is the location
     parameter the probit q(Z) was built from (needed for its entropy).
+
+    On a model loaded from file, ``mu``, ``ups_diag``, ``basis`` and
+    ``zbar_loc`` are None: prediction reads none of them.
     """
 
     ez: np.ndarray
-    mu: np.ndarray
-    ups_diag: np.ndarray
+    mu: np.ndarray | None
+    ups_diag: np.ndarray | None
     beta1: float
     beta2: float
     tau: float
@@ -523,7 +535,6 @@ def fit(
     mu = np.zeros(dims)
     tau = 1.0
     beta1 = beta2 = 0.5 * config.nu if config.process == "t_process" else 1.0
-    rho = 1.0 if config.noise == "probit" else config.gaussian_sigma
     trace: list[float] = []
     state: VariationalState | None = None
     grams: list[SpectralGram] | None = None
@@ -538,7 +549,7 @@ def fit(
             ez = e_step_z(mu, y, mask)
         else:
             ez = np.where(mask, y, mu)
-        mu, ups_diag = e_step_m(ez, grams, tau, rho)
+        mu, ups_diag = e_step_m(ez, grams, tau, config.rho)
         if config.process == "t_process":
             beta1, beta2, tau = e_step_eta(config.nu, mu, ups_diag, grams)
         state = VariationalState(

@@ -73,7 +73,6 @@ def minimize_l1(
     history: int = 10,
     gtol: float = 1e-6,
     ftol: float = 1e-12,
-    keep_trace: bool = False,
 ) -> OptimResult:
     """Minimize fun(x) + l1_weight * ||x||_1 starting from x0.
 
@@ -158,5 +157,5 @@ def minimize_l1(
         converged=converged,
         line_search_failed=ls_failed,
         max_pseudo_gradient=float(np.max(np.abs(pg_final))) if pg_final.size else 0.0,
-        trace=trace if keep_trace else [],
+        trace=trace,
     )

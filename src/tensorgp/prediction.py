@@ -39,10 +39,6 @@ class PredictiveMoments:
     variance: float
 
 
-def _default_rho(model: FittedModel) -> float:
-    return 1.0 if model.config.noise == "probit" else model.config.gaussian_sigma
-
-
 def cross_covariance(model: FittedModel, idx: Sequence[int]) -> np.ndarray:
     """Length-n cross-covariance vector of an in-grid index: kron of Gram rows."""
     rows = _gram_rows(model, idx)
@@ -97,16 +93,14 @@ def predictive_moments(
     model: FittedModel, idx: Sequence[int], rho: float | None = None
 ) -> PredictiveMoments:
     """Latent predictive mean and variance at one in-grid index."""
-    if rho is None:
-        rho = _default_rho(model)
-    return _SolveContext(model, rho).moments(idx)
+    return _SolveContext(model, model.config.rho if rho is None else rho).moments(idx)
 
 
 def predict_probit(model: FittedModel, idx: Sequence[int]) -> float:
     """P(y = 1) at an index, for probit models."""
     if model.config.noise != "probit":
         raise ValueError("predict_probit requires a probit-noise model")
-    m = predictive_moments(model, idx, rho=1.0)
+    m = predictive_moments(model, idx)
     return float(std_normal_cdf(m.mean / np.sqrt(m.variance)))
 
 
@@ -114,7 +108,7 @@ def predict_gaussian(model: FittedModel, idx: Sequence[int]) -> tuple[float, flo
     """Predictive mean and variance at an index, for Gaussian-noise models."""
     if model.config.noise != "gaussian":
         raise ValueError("predict_gaussian requires a gaussian-noise model")
-    m = predictive_moments(model, idx, rho=model.config.gaussian_sigma)
+    m = predictive_moments(model, idx)
     return m.mean, m.variance
 
 
@@ -122,7 +116,5 @@ def predict_batch(
     model: FittedModel, indices: Iterable[Sequence[int]], rho: float | None = None
 ) -> list[PredictiveMoments]:
     """Entry-wise prediction over many indices sharing one solve context."""
-    if rho is None:
-        rho = _default_rho(model)
-    ctx = _SolveContext(model, rho)
+    ctx = _SolveContext(model, model.config.rho if rho is None else rho)
     return [ctx.moments(idx) for idx in indices]

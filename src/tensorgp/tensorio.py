@@ -11,11 +11,14 @@ Indices are 1-based; unlisted cells are missing unless the header says
 starting with ``#`` are ignored.  Values are written with 17 significant
 digits so 64-bit floats round-trip exactly.  An optional binary container
 (``tensorbin`` magic) stores the same records as little-endian int32 indices
-and float64 values for large tensors.
+and float64 values for large tensors.  Both formats share one record
+validator, which reports the first fault in file order (``line N`` or
+``record N``).
 
-Model files are JSON with a format/version tag; a loaded model rebuilds its
-Gram matrices deterministically from the stored factors, so predictions from
-a round-tripped model are bit-identical to the original's.
+Model files are JSON with a format/version tag and hold only what prediction
+reads: the factors, the final E-step target and tau*.  A loaded model
+rebuilds its Gram matrices deterministically from the stored factors, so
+predictions from a round-tripped model are bit-identical to the original's.
 
 Run configuration files are flat ``key = value`` text with ``#`` comments;
 unknown keys are rejected.
@@ -24,6 +27,7 @@ unknown keys are rejected.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -34,14 +38,10 @@ from .inference import FittedModel, ModelConfig, VariationalState
 from .kernels import KernelSpec, gram_matrix
 
 MODEL_FORMAT = "tensorgp-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _TEXT_MAGIC = "tensor"
 _BINARY_MAGIC = b"tensorbin"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _record_dtype(order: int) -> np.dtype:
@@ -80,8 +80,7 @@ def write_tensor(path, t: np.ndarray, mask: np.ndarray | None = None, binary: bo
 
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row, v in zip(coords, values):
-            fh.write(" ".join(map(str, row)) + " " + _fmt(v) + "\n")
+        np.savetxt(fh, np.column_stack([coords, values]), fmt="%d " * len(dims) + "%.17g")
 
 
 def _parse_header(tokens: list[str], lineno: int) -> tuple[tuple[int, ...], bool]:
@@ -109,16 +108,43 @@ def _parse_header(tokens: list[str], lineno: int) -> tuple[tuple[int, ...], bool
     return dims, dense
 
 
-def _parse_index(tokens: list[str], dims: tuple[int, ...], lineno: int) -> tuple[int, ...]:
-    """1-based index from integer tokens, each checked against its dimension."""
-    try:
-        idx = tuple(int(x) for x in tokens)
-    except ValueError:
-        raise TensorFormatError(f"line {lineno}: malformed index {' '.join(tokens)!r}") from None
-    for k, (i, d) in enumerate(zip(idx, dims)):
-        if not 1 <= i <= d:
-            raise TensorFormatError(f"line {lineno}: index {i} out of range [1, {d}] in mode {k + 1}")
-    return idx
+def _flat_positions(idx: np.ndarray, dims: tuple[int, ...], where) -> np.ndarray:
+    """Flat grid positions of 1-based index rows, one row per record.
+
+    The first out-of-range or duplicate record in file order raises, labelled
+    by ``where(r)`` for the 0-based record number r.
+    """
+    bad = np.argwhere((idx < 1) | (idx > np.asarray(dims)))
+    first_bad = int(bad[0, 0]) if bad.size else len(idx)
+    # Records before the first out-of-range one are checked for duplicates,
+    # so whichever fault comes first in the file is the one reported.
+    flat = np.ravel_multi_index(tuple((idx[:first_bad].astype(np.intp) - 1).T), dims)
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        r = int(repeats.min())
+        raise TensorFormatError(f"{where(r)}: duplicate index {tuple(idx[r].tolist())}")
+    if bad.size:
+        r, m = bad[0]
+        raise TensorFormatError(
+            f"{where(r)}: index {idx[r, m]} out of range [1, {dims[m]}] in mode {m + 1}"
+        )
+    return flat
+
+
+def _grid(flat: np.ndarray, vals: np.ndarray, dims: tuple[int, ...], dense: bool):
+    """The tensor and observed mask filled from validated records."""
+    t = np.zeros(dims)
+    mask = np.zeros(dims, dtype=bool)
+    np.put(t, flat, vals)
+    np.put(mask, flat, True)
+    if dense and not mask.all():
+        missing = np.unravel_index(int(np.argmin(mask)), dims)
+        raise TensorFormatError(
+            f"dense tensor file does not cover the grid: no record for index "
+            f"{tuple(int(i) + 1 for i in missing)}"
+        )
+    return t, mask
 
 
 def read_tensor(path) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +157,11 @@ def read_tensor(path) -> tuple[np.ndarray, np.ndarray]:
         if first.startswith(_BINARY_MAGIC):
             return _read_binary(fh, first)
 
+    # Tokenize up to the first malformed line; the records before it are
+    # validated first, so the fault reported is the first one in the file.
+    idx, vals, lines = array("i"), array("d"), array("i")
+    dims = fault = pending = None
     with open(path, "r") as fh:
-        dims = None
-        dense = False
-        t = mask = None
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -146,36 +173,36 @@ def read_tensor(path) -> tuple[np.ndarray, np.ndarray]:
                         f"line {lineno}: expected '{_TEXT_MAGIC}' header, got {tokens[0]!r}"
                     )
                 dims, dense = _parse_header(tokens, lineno)
-                t = np.zeros(dims)
-                mask = np.zeros(dims, dtype=bool)
                 continue
             if len(tokens) != len(dims) + 1:
-                raise TensorFormatError(
-                    f"line {lineno}: expected {len(dims)} indices and a value, got {len(tokens)} fields"
-                )
-            idx = _parse_index(tokens[:-1], dims, lineno)
+                fault = f"line {lineno}: expected {len(dims)} indices and a value, got {len(tokens)} fields"
+                break
             try:
-                value = float(tokens[-1])
+                row = [int(x) for x in tokens[:-1]]
             except ValueError:
-                raise TensorFormatError(f"line {lineno}: malformed record {line!r}") from None
-            pos = tuple(i - 1 for i in idx)
-            if mask[pos]:
-                raise TensorFormatError(f"line {lineno}: duplicate index {idx}")
-            t[pos] = value
-            mask[pos] = True
+                fault = f"line {lineno}: malformed index {' '.join(tokens[:-1])!r}"
+                break
+            try:
+                idx.fromlist(row)  # unchanged if an index overflows a C int
+                vals.append(float(tokens[-1]))
+            except (OverflowError, ValueError):
+                fault, pending = f"line {lineno}: malformed record {line!r}", row
+                break
+            lines.append(lineno)
     if dims is None:
         raise TensorFormatError("line 1: empty file, no header")
-    if dense and not mask.all():
-        raise TensorFormatError(
-            f"dense tensor file is missing {int((~mask).sum())} of {mask.size} cells"
-        )
-    return t, mask
+    rows = np.frombuffer(idx, dtype=np.intc).reshape(-1, len(dims))
+    flat = _flat_positions(rows[: len(vals)], dims, lambda r: f"line {lines[r]}")
+    if fault:
+        if pending:  # a line whose indices parsed reports their range fault first
+            _flat_positions(np.array([pending]), dims, lambda r: f"line {lineno}")
+        raise TensorFormatError(fault)
+    return _grid(flat, np.frombuffer(vals), dims, dense)
 
 
 def _read_binary(fh, first_line: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Decode every record at once; an error names the first bad record in file order."""
-    tokens = first_line.decode().split()
-    dims, dense = _parse_header(tokens, 1)
+    dims, dense = _parse_header(first_line.decode().split(), 1)
     head = fh.read(8)
     if len(head) != 8:
         raise TensorFormatError("truncated binary tensor file: no record count")
@@ -187,39 +214,12 @@ def _read_binary(fh, first_line: bytes) -> tuple[np.ndarray, np.ndarray]:
     buf = fh.read()
     complete = min(count, len(buf) // dtype.itemsize)
     rec = np.frombuffer(buf, dtype=dtype, count=complete)
-    idx = rec["idx"]
-
-    # Records before the first out-of-range one are checked for duplicates,
-    # so whichever fault comes first in the file is the one reported.
-    bad = np.argwhere((idx < 1) | (idx > np.asarray(dims)))
-    first_bad = int(bad[0, 0]) if bad.size else complete
-    flat = np.ravel_multi_index(tuple((idx[:first_bad] - 1).T), dims)
-    order = np.argsort(flat, kind="stable")
-    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
-    if repeats.size:
-        r = int(repeats.min())
-        raise TensorFormatError(f"record {r + 1}: duplicate index {tuple(idx[r].tolist())}")
-    if bad.size:
-        r, m = bad[0]
-        raise TensorFormatError(
-            f"record {r + 1}: index {idx[r, m]} out of range [1, {dims[m]}] in mode {m + 1}"
-        )
+    flat = _flat_positions(rec["idx"], dims, lambda r: f"record {r + 1}")
     if complete < count:
         raise TensorFormatError(f"record {complete + 1}: truncated binary tensor file")
     if len(buf) > count * dtype.itemsize:
         raise TensorFormatError(f"binary tensor file has bytes past its {count} declared records")
-
-    t = np.zeros(dims)
-    mask = np.zeros(dims, dtype=bool)
-    np.put(t, flat, rec["val"])
-    np.put(mask, flat, True)
-    if dense and not mask.all():
-        missing = np.unravel_index(int(np.argmin(mask)), dims)
-        raise TensorFormatError(
-            f"dense binary tensor file does not cover the grid: no record for index "
-            f"{tuple(int(i) + 1 for i in missing)}"
-        )
-    return t, mask
+    return _grid(flat, rec["val"], dims, dense)
 
 
 def read_indices(path, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -235,7 +235,14 @@ def read_indices(path, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
                 raise TensorFormatError(
                     f"line {lineno}: expected {len(dims)} indices, got {len(tokens)}"
                 )
-            out.append(_parse_index(tokens, dims, lineno))
+            try:
+                idx = tuple(int(x) for x in tokens)
+            except ValueError:
+                raise TensorFormatError(f"line {lineno}: malformed index {' '.join(tokens)!r}") from None
+            for k, (i, d) in enumerate(zip(idx, dims)):
+                if not 1 <= i <= d:
+                    raise TensorFormatError(f"line {lineno}: index {i} out of range [1, {d}] in mode {k + 1}")
+            out.append(idx)
     return out
 
 
@@ -266,10 +273,6 @@ def _config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(**d)
 
 
-def _array_out(a) -> list | None:
-    return None if a is None else np.asarray(a).tolist()
-
-
 def save_model(path, model: FittedModel) -> None:
     state = model.state
     payload = {
@@ -279,13 +282,10 @@ def save_model(path, model: FittedModel) -> None:
         "dims": list(model.dims),
         "factors": [u.tolist() for u in model.factors],
         "state": {
-            "ez": _array_out(state.ez),
-            "mu": _array_out(state.mu),
-            "ups_diag": _array_out(state.ups_diag),
+            "ez": state.ez.tolist(),
             "beta1": state.beta1,
             "beta2": state.beta2,
             "tau": state.tau,
-            "zbar_loc": _array_out(state.zbar_loc),
         },
         "tau_star": model.tau_star,
         "objective_trace": model.objective_trace,
@@ -305,7 +305,8 @@ def load_model(path) -> FittedModel:
         raise ModelFormatError(f"corrupt model file {path}: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
-    if payload.get("version") != MODEL_VERSION:
+    # Version 1 also stored mu, ups_diag and zbar_loc, which prediction never reads.
+    if payload.get("version") not in (1, MODEL_VERSION):
         raise ModelFormatError(
             f"model version {payload.get('version')} is incompatible with {MODEL_VERSION}"
         )
@@ -314,16 +315,13 @@ def load_model(path) -> FittedModel:
         dims = tuple(payload["dims"])
         factors = [np.asarray(u, dtype=np.float64) for u in payload["factors"]]
         s = payload["state"]
-        arr = lambda key: None if s[key] is None else np.asarray(s[key], dtype=np.float64)
         state = VariationalState(
-            ez=arr("ez"),
-            mu=arr("mu"),
-            ups_diag=arr("ups_diag"),
+            ez=np.asarray(s["ez"], dtype=np.float64),
+            mu=None,
+            ups_diag=None,
             beta1=s["beta1"],
             beta2=s["beta2"],
             tau=s["tau"],
-            basis=None,
-            zbar_loc=arr("zbar_loc"),
         )
         mask = payload["mask"]
         mask = None if mask is None else np.asarray(mask, dtype=bool).reshape(dims)

@@ -538,6 +538,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.full((2, 2), 0.3), np.ones((2, 2), dtype=bool), config)
 
+    @pytest.mark.parametrize(
+        "kwargs, name", [({"max_em_iters": 0}, "max_em_iters"), ({"mstep_max_iters": -1}, "mstep_max_iters")]
+    )
+    def test_rejects_iteration_caps_that_run_nothing(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**kwargs)
+
+    def test_rho_is_the_latent_noise_scale(self):
+        assert ModelConfig(noise="probit", gaussian_sigma=0.3).rho == 1.0
+        assert ModelConfig(noise="gaussian", gaussian_sigma=0.3).rho == 0.3
+
     def test_gaussian_t_process_monotone(self):
         rng = np.random.default_rng(17)
         y = rng.normal(size=(4, 3, 3))

@@ -89,6 +89,33 @@ class TestTensorFiles:
         with pytest.raises(TensorFormatError, match="dense"):
             read_tensor(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1 1 1.0\n1 1 2.0\n3 1 1.0\n", "line 3: duplicate index (1, 1)"),
+            ("1 1 1.0\n3 1 2.0\n1 x 1.0\n", "line 3: index 3 out of range [1, 2] in mode 1"),
+            ("1 1 1.0\n3 1 abc\n", "line 3: index 3 out of range [1, 2] in mode 1"),
+            ("1 1 1.0\n1 1 abc\n", "line 3: malformed record '1 1 abc'"),
+            ("1 1 1.0\n1 1 2.0\n1 1\n", "line 3: duplicate index (1, 1)"),
+            ("1 99999999999 1.0\n", "line 2: index 99999999999 out of range [1, 2] in mode 2"),
+            ("1 1 1.0\n1 10000000000000000000000 1.0\n",
+             "line 3: index 10000000000000000000000 out of range [1, 2] in mode 2"),
+            ("2 2 1.0\n3 x 1.0\n", "line 3: malformed index '3 x'"),
+        ],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, body, message):
+        path = tmp_path / "f.tensor"
+        path.write_text("tensor 2 2 2\n" + body)
+        with pytest.raises(TensorFormatError) as err:
+            read_tensor(path)
+        assert str(err.value) == message
+
+    def test_dense_gap_names_the_first_missing_index(self, tmp_path):
+        path = tmp_path / "g.tensor"
+        path.write_text("tensor 2 2 2 dense\n1 1 1.0\n1 2 2.0\n2 2 4.0\n")
+        with pytest.raises(TensorFormatError, match=r"no record for index \(2, 1\)"):
+            read_tensor(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.tensor"
         path.write_text("# a comment\n\ntensor 1 3\n1 1.5\n# more\n3 -2.0\n")
@@ -179,6 +206,39 @@ class TestBinaryTensorFiles:
             read_tensor(path)
 
 
+# Faulty record lists with the message each must raise after its label
+# (None: the fault belongs to no record).
+RECORD_FAULTS = [
+    ("2 2 2", [(1, 1, 1.0), (2, 1, 2.0), (1, 1, 3.0)], 2, "duplicate index (1, 1)"),
+    ("2 2 2", [(1, 1, 1.0), (2, 3, 2.0)], 1, "index 3 out of range [1, 2] in mode 2"),
+    ("2 2 2", [(1, 1, 1.0), (1, 1, 2.0), (0, 1, 3.0)], 1, "duplicate index (1, 1)"),
+    ("2 2 2", [(1, 1, 1.0), (0, 1, 2.0), (1, 1, 3.0)], 1, "index 0 out of range [1, 2] in mode 1"),
+    ("2 2 2", [(1, -7, 1.0)], 0, "index -7 out of range [1, 2] in mode 2"),
+    ("1 3", [(2, 1.0), (3, 2.0), (2, 3.0), (4, 4.0)], 2, "duplicate index (2,)"),
+    ("1 3", [(2, 1.0), (4, 2.0), (2, 3.0)], 1, "index 4 out of range [1, 3] in mode 1"),
+    ("2 2 2 dense", [(1, 1, 1.0), (1, 2, 2.0), (2, 2, 4.0)], None,
+     "dense tensor file does not cover the grid: no record for index (2, 1)"),
+    ("1 2 dense", [], None, "dense tensor file does not cover the grid: no record for index (1,)"),
+]
+
+
+@pytest.mark.parametrize("header, records, at, fault", RECORD_FAULTS)
+def test_text_and_binary_report_the_same_fault(tmp_path, header, records, at, fault):
+    """Both encodings go through one validator: same fault, same index, own label."""
+    text, binary = tmp_path / "f.tensor", tmp_path / "f.bin"
+    text.write_text(f"tensor {header}\n" + "".join(" ".join(map(str, r)) + "\n" for r in records))
+    _binary_file(binary, f"tensorbin {header}", records)
+    messages = []
+    for path in (text, binary):
+        with pytest.raises(TensorFormatError) as err:
+            read_tensor(path)
+        messages.append(str(err.value))
+    if at is None:
+        assert messages == [fault, fault]
+    else:
+        assert messages == [f"line {at + 2}: {fault}", f"record {at + 1}: {fault}"]
+
+
 class TestModelSerialization:
     def _fitted(self, rng):
         y = rng.normal(size=(4, 4, 4))
@@ -216,6 +276,34 @@ class TestModelSerialization:
         payload["config"].update({"truncation_energy": 1.0, "n_restarts": 1})
         path.write_text(json.dumps(payload))
         loaded = load_model(path)
+        idx = [multi_index(j + 1, model.dims) for j in np.flatnonzero(~model.mask.ravel())]
+        a = predict_batch(model, idx)
+        b = predict_batch(loaded, idx)
+        assert [(m.mean, m.variance) for m in a] == [(m.mean, m.variance) for m in b]
+
+    def test_payload_holds_only_what_prediction_reads(self, rng, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(path, self._fitted(rng))
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        assert set(payload["state"]) == {"ez", "beta1", "beta2", "tau"}
+        loaded = load_model(path)
+        assert loaded.state.mu is None and loaded.state.ups_diag is None
+
+    def test_version_1_file_loads_bit_identically(self, rng, tmp_path):
+        model = self._fitted(rng)
+        path = tmp_path / "m.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        payload["state"].update(
+            mu=model.state.mu.tolist(),
+            ups_diag=model.state.ups_diag.tolist(),
+            zbar_loc=model.state.zbar_loc.tolist(),
+        )
+        path.write_text(json.dumps(payload))
+        loaded = load_model(path)
+        assert loaded.state.mu is None
         idx = [multi_index(j + 1, model.dims) for j in np.flatnonzero(~model.mask.ravel())]
         a = predict_batch(model, idx)
         b = predict_batch(loaded, idx)
@@ -464,6 +552,18 @@ class TestCli:
         bad_cfg.write_text("unknown_knob = 3\n")
         assert main(["eval", "--config", str(bad_cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_fit_with_zero_em_cycles_is_a_config_error(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        cfg.write_text(cfg.read_text().replace("max_em_iters = 4", "max_em_iters = 0"))
+        capsys.readouterr()
+        assert main(["fit", "--data", str(tmp_path / "s_y.tensor"), "--config", str(cfg),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_em_iters" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "nope.tensor"), "--config",

@@ -31,7 +31,7 @@ class TestPlainLBFGS:
                 ]
             )
 
-        res = minimize_l1(f, g, np.array([-1.2, 1.0]), max_iter=200, gtol=1e-8, keep_trace=True)
+        res = minimize_l1(f, g, np.array([-1.2, 1.0]), max_iter=200, gtol=1e-8)
         assert res.fun < 1e-10
         trace = np.array(res.trace)
         assert np.all(np.diff(trace) <= 0.0)
@@ -76,7 +76,6 @@ class TestL1Composite:
             rng.normal(size=25),
             l1_weight=0.5,
             max_iter=150,
-            keep_trace=True,
         )
         trace = np.array(res.trace)
         assert np.all(np.diff(trace) <= 0.0)
