@@ -63,13 +63,12 @@ def _gram_rows(model: FittedModel, idx: Sequence[int]) -> list[np.ndarray]:
 class _SolveContext:
     """Index-independent pieces of the predictive solves for one rho."""
 
-    def __init__(self, model: FittedModel, rho: float):
+    def __init__(self, model: FittedModel, rho: float | None):
         self.model = model
-        self.rho = rho
         self.tau_star = model.tau_star
-        shift = rho * rho * self.tau_star
+        rho = model.config.rho if rho is None else rho
         lam = kron_eigvals(model.mode_grams)
-        self.resolvent = 1.0 / (lam + shift)
+        self.resolvent = 1.0 / (lam + rho * rho * self.tau_star)
         target_eig = to_eigenbasis(np.asarray(model.state.ez, dtype=np.float64), model.mode_grams)
         self.solved_target = target_eig * self.resolvent
 
@@ -93,7 +92,7 @@ def predictive_moments(
     model: FittedModel, idx: Sequence[int], rho: float | None = None
 ) -> PredictiveMoments:
     """Latent predictive mean and variance at one in-grid index."""
-    return _SolveContext(model, model.config.rho if rho is None else rho).moments(idx)
+    return _SolveContext(model, rho).moments(idx)
 
 
 def predict_probit(model: FittedModel, idx: Sequence[int]) -> float:
@@ -116,5 +115,5 @@ def predict_batch(
     model: FittedModel, indices: Iterable[Sequence[int]], rho: float | None = None
 ) -> list[PredictiveMoments]:
     """Entry-wise prediction over many indices sharing one solve context."""
-    ctx = _SolveContext(model, model.config.rho if rho is None else rho)
+    ctx = _SolveContext(model, rho)
     return [ctx.moments(idx) for idx in indices]

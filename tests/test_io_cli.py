@@ -110,12 +110,6 @@ class TestTensorFiles:
             read_tensor(path)
         assert str(err.value) == message
 
-    def test_dense_gap_names_the_first_missing_index(self, tmp_path):
-        path = tmp_path / "g.tensor"
-        path.write_text("tensor 2 2 2 dense\n1 1 1.0\n1 2 2.0\n2 2 4.0\n")
-        with pytest.raises(TensorFormatError, match=r"no record for index \(2, 1\)"):
-            read_tensor(path)
-
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.tensor"
         path.write_text("# a comment\n\ntensor 1 3\n1 1.5\n# more\n3 -2.0\n")
