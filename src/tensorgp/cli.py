@@ -22,7 +22,6 @@ from .errors import (
 )
 from .evaluate import run_experiment, synth_generate
 from .inference import fit
-from .tensors import multi_index
 
 ORACLE_TOL = 1e-6
 
@@ -111,19 +110,20 @@ def _cmd_predict(args) -> int:
         if model.mask is None:
             raise ConfigError("model carries no observation mask; pass an index file")
         flat = np.flatnonzero(~model.mask.ravel())
-        indices = [multi_index(j + 1, dims) for j in flat]
+        indices = np.stack(np.unravel_index(flat, dims), axis=1) + 1
     else:
         indices = tensorio.read_indices(args.indices, dims)
     moments = prediction.predict_batch(model, indices)
+    mean = np.array([m.mean for m in moments])
+    variance = np.array([m.variance for m in moments])
+    if model.config.noise == "probit":
+        values = [prediction.std_normal_cdf(mean / np.sqrt(variance))]
+    else:
+        values = [mean, variance]
+    rows = np.column_stack([np.reshape(indices, (len(moments), len(dims))), *values])
     with open(args.out, "w") as fh:
-        for idx, m in zip(indices, moments):
-            head = " ".join(map(str, idx))
-            if model.config.noise == "probit":
-                p = prediction.std_normal_cdf(m.mean / np.sqrt(m.variance))
-                fh.write(f"{head} {format(p, '.17g')}\n")
-            else:
-                fh.write(f"{head} {format(m.mean, '.17g')} {format(m.variance, '.17g')}\n")
-    print(f"predict: wrote {len(indices)} predictions to {args.out}")
+        np.savetxt(fh, rows, fmt="%d " * len(dims) + " ".join(["%.17g"] * len(values)))
+    print(f"predict: wrote {len(moments)} predictions to {args.out}")
     return 0
 
 

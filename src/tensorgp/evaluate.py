@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .distributions import (
     TensorNormalParams,
@@ -25,7 +24,6 @@ from .errors import ShapeError
 from .inference import ModelConfig, fit, init_factors
 from .kernels import KernelSpec, gram_matrix
 from .prediction import predict_batch
-from .tensors import multi_index
 
 GENERATORS = ("gp_latent", "t_latent", "rank1", "file")
 
@@ -130,6 +128,19 @@ def mse(pred: Sequence[float], truth: Sequence[float]) -> float:
     return float(np.mean((pred - truth) ** 2))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Probability a random positive outscores a random negative; ties count 1/2."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -139,7 +150,7 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -244,7 +255,7 @@ def _fit_and_score(
     metric_name: str,
 ) -> float:
     model = fit(y, train_mask, config)
-    test_idx = [multi_index(j + 1, y.shape) for j in np.flatnonzero(test_mask.ravel())]
+    test_idx = np.stack(np.unravel_index(np.flatnonzero(test_mask.ravel()), y.shape), axis=1) + 1
     moments = predict_batch(model, test_idx)
     preds = np.array([m.mean for m in moments])
     actual = y[test_mask]

@@ -154,6 +154,9 @@ class FittedModel:
     objective_trace: list[float] = field(default_factory=list)
     mask: np.ndarray | None = None
     mstep_warnings: int = 0
+    # Predictive (mean, variance) grids per resolved rho; filled and read only
+    # by :mod:`.prediction`, never saved, and holding no reference back here.
+    _predictive_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dims(self) -> tuple[int, ...]:

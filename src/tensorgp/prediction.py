@@ -1,24 +1,37 @@
 """Predictive distributions for held-out cells of the training grid.
 
-For an in-grid index the cross covariance to all grid cells is the Kronecker
-product of per-mode Gram rows, so the solves
+For an in-grid index i the cross covariance to all grid cells is row i of
+S_p = S_1 x ... x S_K, so with s = rho^2 tau* the predictive moments
 
-    mean      = k' (S_p + rho^2 tau* I)^{-1} vec(target)
-    variance  = 1 + (k(i,i) - k' (S_p + rho^2 tau* I)^{-1} k) / tau*
+    mean(i)     = k_i' (S_p + s I)^{-1} vec(target)
+    variance(i) = 1 + (k(i,i) - k_i' (S_p + s I)^{-1} k_i) / tau*
 
-reduce to per-mode eigenbasis contractions.  ``tau*`` is the posterior mode
-of the precision mixer for the t process and exactly 1 for the Gaussian
-process.  The target vector is the final E-step tensor: truncated-normal
-means for probit, the imputed observation tensor for Gaussian noise.
+hold for every cell at once in the Kronecker eigenbasis S_p = V diag(lam) V'
+(V = V_1 x ... x V_K, lam = ``kron_eigvals``):
 
-A shared solve context caches everything that does not depend on the queried
-index, so batch prediction is the entry-wise loop with the common work
-hoisted out (and therefore agrees with it bit for bit).
+    mean grid    = V diag(lam / (lam + s)) V' vec(target)
+    bracket grid = (V o V) (lam s / (lam + s))
+    variance     = 1 + bracket / tau*
+
+``V o V`` is the entry-wise square of V, itself the Kronecker product of the
+squared per-mode eigenvector matrices, so both grids are mode products in
+O(n sum_k n_k).  The bracket is a sum of nonnegative terms, so it needs no
+clipping.  ``tau*`` is the posterior mode of the precision mixer for the t
+process and exactly 1 for the Gaussian process.  The target is the final
+E-step tensor: truncated-normal means for probit, the imputed observation
+tensor for Gaussian noise.
+
+The two grids are cached on the model, keyed by the resolved rho, the first
+time a prediction needs them; every later cell costs one lookup.  Single-cell
+and batch prediction read the same grids, so they agree bit for bit.  The
+cache holds arrays only, so a model is still freed by reference counting, and
+``save_model`` does not write it.  It assumes the fitted model is not
+modified after its first prediction.
 """
 
 from __future__ import annotations
 
-import logging
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,10 +40,8 @@ import numpy as np
 from .distributions import std_normal_cdf
 from .errors import ShapeError
 from .inference import FittedModel
-from .kernels import kron_eigvals, to_eigenbasis
-from .tensors import multi_mode_vector_contract
-
-logger = logging.getLogger(__name__)
+from .kernels import from_eigenbasis, kron_eigvals, to_eigenbasis
+from .tensors import mode_k_product
 
 
 @dataclass
@@ -39,60 +50,79 @@ class PredictiveMoments:
     variance: float
 
 
+def _check_index(idx: Sequence[int], dims: Sequence[int]) -> None:
+    """Raise for an index of the wrong order or with a component off the grid."""
+
+    def name() -> str:
+        return "(" + ", ".join(map(str, idx)) + ")"
+
+    if len(idx) != len(dims):
+        raise ShapeError(f"index {name()}: order {len(idx)} != tensor order {len(dims)}")
+    for k, (i, n) in enumerate(zip(idx, dims)):
+        if not isinstance(i, numbers.Integral):
+            raise IndexError(f"index {name()}: component {i!r} in mode {k} is not an integer")
+        if not 1 <= i <= n:
+            raise IndexError(f"index {name()}: component {i} out of range [1, {n}] in mode {k}")
+
+
+def _flat_positions(indices: Iterable[Sequence[int]], dims: tuple[int, ...]) -> np.ndarray:
+    """Row-major positions of 1-based indices, checked in one vectorized pass.
+
+    A fault raises as :func:`_check_index` does for the first faulty index in
+    input order.
+    """
+    cells = indices if isinstance(indices, np.ndarray) else list(indices)
+    try:
+        arr = np.asarray(cells)
+    except ValueError:  # indices of different orders
+        arr = None
+    if arr is None or arr.dtype.kind not in "iu" or arr.shape != (len(cells), len(dims)):
+        # Wrong orders, non-integer or mixed integer types, or no cells at all.
+        for idx in cells:
+            _check_index(idx, dims)
+        arr = np.array(cells, dtype=np.intp).reshape(len(cells), len(dims))
+    else:
+        bad = ((arr < 1) | (arr > np.asarray(dims))).any(axis=1)
+        if bad.any():
+            _check_index(cells[int(np.argmax(bad))], dims)
+    return np.ravel_multi_index(tuple(arr.T - 1), dims)
+
+
 def cross_covariance(model: FittedModel, idx: Sequence[int]) -> np.ndarray:
     """Length-n cross-covariance vector of an in-grid index: kron of Gram rows."""
-    rows = _gram_rows(model, idx)
-    out = rows[0]
-    for r in rows[1:]:
-        out = np.kron(out, r)
+    _check_index(idx, model.dims)
+    out = np.ones(1)
+    for i, sg in zip(idx, model.mode_grams):
+        out = np.kron(out, sg.gram[i - 1])
     return out
 
 
-def _gram_rows(model: FittedModel, idx: Sequence[int]) -> list[np.ndarray]:
-    dims = model.dims
-    if len(idx) != len(dims):
-        raise ShapeError(f"index order {len(idx)} != tensor order {len(dims)}")
-    rows = []
-    for k, (i, sg) in enumerate(zip(idx, model.mode_grams)):
-        if not 1 <= i <= sg.size:
-            raise IndexError(f"index component {i} out of range [1, {sg.size}] in mode {k}")
-        rows.append(sg.gram[i - 1])
-    return rows
-
-
-class _SolveContext:
-    """Index-independent pieces of the predictive solves for one rho."""
-
-    def __init__(self, model: FittedModel, rho: float | None):
-        self.model = model
-        self.tau_star = model.tau_star
-        rho = model.config.rho if rho is None else rho
-        lam = kron_eigvals(model.mode_grams)
-        self.resolvent = 1.0 / (lam + rho * rho * self.tau_star)
-        target_eig = to_eigenbasis(np.asarray(model.state.ez, dtype=np.float64), model.mode_grams)
-        self.solved_target = target_eig * self.resolvent
-
-    def moments(self, idx: Sequence[int]) -> PredictiveMoments:
-        rows = _gram_rows(self.model, idx)
-        a = [sg.eigvecs.T @ r for sg, r in zip(self.model.mode_grams, rows)]
-        mean = multi_mode_vector_contract(self.solved_target, a)
-        quad = multi_mode_vector_contract(self.resolvent, [ak * ak for ak in a])
-        k_ii = 1.0
-        for r, i in zip(rows, idx):
-            k_ii *= r[i - 1]
-        bracket = k_ii - quad
-        if bracket < 0.0:
-            # Round-off near interpolation; the exact bracket is nonnegative.
-            logger.warning("predictive variance bracket clipped at 0 (was %.3e)", bracket)
-            bracket = 0.0
-        return PredictiveMoments(mean=float(mean), variance=1.0 + bracket / self.tau_star)
+def _grids(model: FittedModel, rho: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive mean and variance of every grid cell, cached per resolved rho."""
+    rho = model.config.rho if rho is None else float(rho)
+    cached = model._predictive_grids.get(rho)
+    if cached is None:
+        grams = model.mode_grams
+        s = rho * rho * model.tau_star
+        lam = kron_eigvals(grams)
+        shrink = lam / (lam + s)
+        target_eig = to_eigenbasis(np.asarray(model.state.ez, dtype=np.float64), grams)
+        mean = from_eigenbasis(target_eig * shrink, grams)
+        bracket = shrink * s
+        for k, sg in enumerate(grams):
+            bracket = mode_k_product(bracket, sg.eigvecs * sg.eigvecs, k)
+        cached = model._predictive_grids[rho] = (mean, 1.0 + bracket / model.tau_star)
+    return cached
 
 
 def predictive_moments(
     model: FittedModel, idx: Sequence[int], rho: float | None = None
 ) -> PredictiveMoments:
     """Latent predictive mean and variance at one in-grid index."""
-    return _SolveContext(model, rho).moments(idx)
+    _check_index(idx, model.dims)
+    mean, variance = _grids(model, rho)
+    cell = tuple(i - 1 for i in idx)
+    return PredictiveMoments(mean=float(mean[cell]), variance=float(variance[cell]))
 
 
 def predict_probit(model: FittedModel, idx: Sequence[int]) -> float:
@@ -114,6 +144,10 @@ def predict_gaussian(model: FittedModel, idx: Sequence[int]) -> tuple[float, flo
 def predict_batch(
     model: FittedModel, indices: Iterable[Sequence[int]], rho: float | None = None
 ) -> list[PredictiveMoments]:
-    """Entry-wise prediction over many indices sharing one solve context."""
-    ctx = _SolveContext(model, rho)
-    return [ctx.moments(idx) for idx in indices]
+    """Moments at many indices, read from the same grids as single-cell prediction."""
+    flat = _flat_positions(indices, model.dims)
+    mean, variance = _grids(model, rho)
+    return [
+        PredictiveMoments(mean=m, variance=v)
+        for m, v in zip(mean.ravel()[flat].tolist(), variance.ravel()[flat].tolist())
+    ]

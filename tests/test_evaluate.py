@@ -4,6 +4,7 @@ import pytest
 from tensorgp.errors import ShapeError
 from tensorgp.evaluate import (
     ExperimentSpec,
+    _average_ranks,
     _draw_latent,
     _generator_grams,
     auc,
@@ -104,6 +105,19 @@ class TestMetrics:
         fpr = np.concatenate([[0.0], np.cumsum(1 - sorted_labels) / (60 - labels.sum())])
         expected = np.trapezoid(tpr, fpr)
         assert auc(scores, labels) == pytest.approx(expected, abs=1e-12)
+
+    def test_average_ranks_match_scipy_rankdata(self, rng):
+        from scipy.stats import rankdata
+
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            levels = int(rng.integers(1, 9))
+            x = rng.integers(-levels, levels, size=n) * rng.choice([1.0, 0.1, 1.0 / 3.0])
+            ranks = _average_ranks(x)
+            assert ranks.tobytes() == rankdata(x).tobytes()
+
+    def test_average_ranks_propagate_nan(self):
+        assert np.isnan(_average_ranks(np.array([0.2, np.nan, 0.1]))).all()
 
 
 class TestCvSplits:

@@ -509,6 +509,47 @@ class TestCli:
         assert len(lines) == round(0.25 * 16)
         assert all(len(line.split()) == 4 for line in lines)  # i j mean variance
 
+    @pytest.mark.parametrize("noise", ["gaussian", "probit"])
+    def test_predict_file_bytes(self, tmp_path, noise):
+        # Pinned against the per-line writer: format(x, '.17g') per value.
+        from tensorgp.distributions import std_normal_cdf
+
+        rng = np.random.default_rng(8)
+        dims = (4, 3, 5)
+        y = rng.normal(size=dims)
+        if noise == "probit":
+            y = (y > 0).astype(float)
+        mask = rng.random(dims) < 0.6
+        config = ModelConfig(noise=noise, process="t_process", rank=2, kernel=KernelSpec("gaussian", 0.3),
+                             gaussian_sigma=0.2 if noise == "gaussian" else 1.0, max_em_iters=2, seed=1)
+        save_model(tmp_path / "m.json", fit(y, mask, config))
+        model = load_model(tmp_path / "m.json")
+        idx_file = tmp_path / "idx.txt"
+        idx_file.write_text("4 3 5\n1 1 1\n2 3 4\n")
+        for source, cells in [
+            ("all-missing", [multi_index(j + 1, dims) for j in np.flatnonzero(~mask.ravel())]),
+            (str(idx_file), [(4, 3, 5), (1, 1, 1), (2, 3, 4)]),
+        ]:
+            expected = []
+            for idx, m in zip(cells, predict_batch(model, cells)):
+                head = " ".join(map(str, idx))
+                if noise == "probit":
+                    p = std_normal_cdf(m.mean / np.sqrt(m.variance))
+                    expected.append(f"{head} {format(p, '.17g')}\n")
+                else:
+                    expected.append(f"{head} {format(m.mean, '.17g')} {format(m.variance, '.17g')}\n")
+            out = tmp_path / "p.txt"
+            assert main(["predict", "--model", str(tmp_path / "m.json"), "--indices", source,
+                         "--out", str(out)]) == 0
+            assert out.read_bytes() == "".join(expected).encode()
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = str(Path(tensorgp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, tensorgp; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.stdout.strip() == "False", proc.stderr
+
     def test_predict_from_index_file(self, tmp_path):
         cfg = self._write_config(tmp_path)
         main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")])

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rel_err
 from tensorgp import oracle
+from tensorgp.errors import ShapeError
 from tensorgp.evaluate import mse
 from tensorgp.inference import FittedModel, ModelConfig, VariationalState, fit
 from tensorgp.kernels import KernelSpec, gram_matrix
@@ -215,3 +216,127 @@ class TestBatch:
             single = predictive_moments(model, idx, rho=1.0)
             assert m.mean == single.mean
             assert m.variance == single.variance
+
+
+def _every_cell(dims):
+    return [multi_index(j + 1, dims) for j in range(int(np.prod(dims)))]
+
+
+class TestGrid:
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("kernel", [KernelSpec("exponential", 0.6), KernelSpec("linear")])
+    @pytest.mark.parametrize("noise, sigma", [("gaussian", 0.4), ("probit", 1.0)])
+    @pytest.mark.parametrize("rho", [None, 0.7])
+    def test_every_cell_matches_dense_oracle(self, rng, dims, kernel, noise, sigma, rho):
+        factors = [rng.normal(size=(n, 2)) for n in dims]
+        target = rng.normal(size=dims)
+        model = _manual_model(factors, kernel, target, noise=noise, tau_star=1.6, sigma=sigma)
+        resolved = model.config.rho if rho is None else rho
+        sigma_p = oracle.dense_kron([g.gram for g in model.mode_grams])
+        cells = _every_cell(dims)
+        for idx, m in zip(cells, predict_batch(model, cells, rho=rho)):
+            j = np.ravel_multi_index(np.subtract(idx, 1), dims)
+            mean, var = oracle.dense_predictive_moments(
+                sigma_p[j], sigma_p[j, j], sigma_p, target.ravel(), 1.6, resolved
+            )
+            assert rel_err(m.mean, mean) <= 1e-8
+            assert rel_err(m.variance, var) <= 1e-8
+
+    def _counted(self, monkeypatch):
+        from tensorgp import prediction
+
+        calls = []
+        inner = prediction.to_eigenbasis
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(prediction, "to_eigenbasis", counted)
+        return calls
+
+    def test_second_query_does_no_eigenbasis_transform(self, rng, monkeypatch):
+        calls = self._counted(monkeypatch)
+        model = _manual_model([rng.normal(size=(3, 2))] * 2, KernelSpec("gaussian", 0.5), rng.normal(size=(3, 3)))
+        first = predictive_moments(model, (1, 2))
+        assert len(calls) == 1
+        again = predictive_moments(model, (1, 2))
+        predict_gaussian(model, (3, 1))
+        predict_batch(model, _every_cell((3, 3)))
+        assert len(calls) == 1
+        assert (again.mean, again.variance) == (first.mean, first.variance)
+
+    def test_explicit_rho_gets_its_own_entry(self, rng, monkeypatch):
+        calls = self._counted(monkeypatch)
+        factors = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
+        target = rng.normal(size=(3, 4))
+        model = _manual_model(factors, KernelSpec("gaussian", 0.5), target, sigma=0.3)
+        default = predictive_moments(model, (2, 3))
+        explicit = predictive_moments(model, (2, 3), rho=1.5)
+        assert len(calls) == 2
+        assert explicit.variance != default.variance
+        # Each entry still answers for its own rho, in either order.
+        assert predictive_moments(model, (2, 3)) == default
+        assert predictive_moments(model, (2, 3), rho=1.5) == explicit
+        assert predictive_moments(model, (2, 3), rho=0.3) == default  # the resolved default
+        assert len(calls) == 2
+        fresh = _manual_model(factors, KernelSpec("gaussian", 0.5), target, sigma=0.3)
+        assert predictive_moments(fresh, (2, 3), rho=1.5) == explicit
+
+    def test_model_freed_by_refcount(self):
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=(4, 5))
+        mask = rng.random((4, 5)) < 0.7
+        config = ModelConfig(noise="gaussian", rank=2, kernel=KernelSpec("gaussian", 0.3), max_em_iters=2)
+        gc.disable()
+        try:
+            model = fit(y, mask, config)
+            predict_batch(model, [(1, 1), (4, 5)])
+            predict_gaussian(model, (2, 2))
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestBatchIndices:
+    @pytest.fixture
+    def model(self, rng):
+        factors = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
+        return _manual_model(factors, KernelSpec("gaussian", 0.5), rng.normal(size=(3, 4)))
+
+    def test_empty(self, model):
+        assert predict_batch(model, []) == []
+        assert predict_batch(model, iter(())) == []
+
+    def test_generator_and_array_inputs(self, model):
+        cells = _every_cell((3, 4))
+        expected = predict_batch(model, cells)
+        assert predict_batch(model, (idx for idx in cells)) == expected
+        assert predict_batch(model, np.array(cells)) == expected
+        assert predict_batch(model, [list(idx) for idx in reversed(cells)]) == expected[::-1]
+
+    @pytest.mark.parametrize(
+        "cells, error, message",
+        [
+            ([(1, 1), (2, 2, 1), (4, 1)], ShapeError, r"index \(2, 2, 1\): order 3 != tensor order 2"),
+            ([(1, 1), (1,)], ShapeError, r"index \(1\): order 1 != tensor order 2"),
+            ([(1, 1), (4, 1), (1, 9)], IndexError, r"index \(4, 1\): component 4 out of range \[1, 3\] in mode 0"),
+            ([(1, 1), (1, 0), (2, 2, 1)], IndexError, r"index \(1, 0\): component 0 out of range \[1, 4\] in mode 1"),
+            ([(3, 4), (0, 9)], IndexError, r"index \(0, 9\): component 0 out of range \[1, 3\] in mode 0"),
+            ([(1, 1), (1.0, 2)], IndexError, r"index \(1.0, 2\): component 1.0 in mode 0 is not an integer"),
+        ],
+    )
+    def test_first_bad_index_in_input_order(self, model, cells, error, message):
+        with pytest.raises(error, match=message):
+            predict_batch(model, cells)
+        with pytest.raises(error, match=message):
+            predict_batch(model, iter(cells))
+        bad = next(idx for idx in cells if len(idx) != 2 or not all(
+            isinstance(i, int) and 1 <= i <= n for i, n in zip(idx, (3, 4))))
+        with pytest.raises(error, match=message):
+            predictive_moments(model, bad)
