@@ -23,7 +23,6 @@ from .evaluate import (
     ExperimentSpec,
     auc,
     cv_splits,
-    denormalize_tensor,
     mse,
     normalize_tensor,
     random_mask,
@@ -53,6 +52,6 @@ from .prediction import (
     predictive_moments,
 )
 from .tensorio import load_model, parse_config, read_tensor, save_model, write_tensor
-from .tensors import frobenius_norm_sq, mode_k_product, multi_index, multi_mode_vector_contract
+from .tensors import mode_k_product, multi_index, multi_mode_vector_contract
 
 __version__ = "0.1.0"

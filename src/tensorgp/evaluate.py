@@ -194,10 +194,6 @@ def normalize_tensor(
     return (y - mean) / std, mean, std
 
 
-def denormalize_tensor(y: np.ndarray, mean: float, std: float) -> np.ndarray:
-    return np.asarray(y, dtype=np.float64) * std + mean
-
-
 # ---------------------------------------------------------------------------
 # Experiment driver
 # ---------------------------------------------------------------------------

@@ -50,12 +50,12 @@ from scipy.special import digamma, gammaln, log_ndtr
 from .distributions import LOG_2PI, truncated_normal_mean
 from .errors import NumericalError, ShapeError
 from .kernels import (
-    KernelSpec, SpectralGram, basis_change_diags, from_eigenbasis, gram_matrix,
-    kron_eigvals, kron_logdet, kron_quad, to_eigenbasis,
+    KernelSpec, SpectralGram, from_eigenbasis, gram_matrix, kron_eigvals, kron_logdet,
+    kron_quad, to_eigenbasis,
 )
 from .optim import OptimResult, minimize_l1
 # mode_k_product is unused here; the benchmark tracer (bench/spans.py) rebinds it.
-from .tensors import mode_k_product, multi_mode_vector_contract  # noqa: F401
+from .tensors import contract_except, mode_gram, mode_k_product, multi_mode_vector_contract  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -251,14 +251,17 @@ def _candidate_grams(
 class _SpectralPoint:
     """What the M-step value and gradient share at one candidate factor point.
 
-    ``m_eig`` is mu in the Kronecker eigenbasis of the candidate Grams and
-    ``w_diags`` the per-mode diagonals that carry the frozen covariance
-    diagonal into it.  ``grad`` holds the flattened gradient once computed.
+    ``m_eig`` is mu in the Kronecker eigenbasis of the candidate Grams.
+    Per mode, ``basis_changes`` holds A_k = V_k' V_old from the E-step
+    eigenbasis to the candidate one, and ``w_diags`` the diagonal of
+    V_old' S_k^{-1} V_old, which carries the frozen covariance diagonal into
+    the trace term.  ``grad`` holds the flattened gradient once computed.
     """
 
     factors: list[np.ndarray]
     grams: list[SpectralGram]
     m_eig: np.ndarray
+    basis_changes: list[np.ndarray]
     w_diags: list[np.ndarray]
     grad: np.ndarray | None = None
 
@@ -271,11 +274,13 @@ def _spectral_point(
 ) -> _SpectralPoint:
     if grams is None:
         grams = _candidate_grams(factors, state, specs)
+    changes = [new.eigvecs.T @ old.eigvecs for new, old in zip(grams, state.basis)]
     return _SpectralPoint(
         list(factors),
         list(grams),
         to_eigenbasis(state.mu, grams),
-        basis_change_diags(grams, state.basis),
+        changes,
+        [(a * a).T @ (1.0 / new.eigvals) for a, new in zip(changes, grams)],
     )
 
 
@@ -307,17 +312,6 @@ def m_step_objective(
     return smooth + l1
 
 
-def _contract_except(d: np.ndarray, vecs: Sequence[np.ndarray], skip: int) -> np.ndarray:
-    """Contract every mode of ``d`` but ``skip``; returns a vector on that mode."""
-    out = d
-    # Contract from the last mode down so earlier axis numbers stay valid.
-    for k in reversed(range(d.ndim)):
-        if k == skip:
-            continue
-        out = np.tensordot(out, vecs[k], axes=([k], [0]))
-    return out
-
-
 def _gradient_at(
     point: _SpectralPoint, state: VariationalState, specs: Sequence[KernelSpec]
 ) -> list[np.ndarray]:
@@ -326,12 +320,12 @@ def _gradient_at(
     n = state.mu.size
     m_scaled = point.m_eig / kron_eigvals(point.grams)
     grads = []
-    for k, (spec, u, new, old) in enumerate(zip(specs, point.factors, point.grams, state.basis)):
-        others = [j for j in range(len(point.factors)) if j != k]
+    for k, (spec, u, new, a_k) in enumerate(
+        zip(specs, point.factors, point.grams, point.basis_changes)
+    ):
         inv = 1.0 / new.eigvals
-        c_k = np.tensordot(m_scaled, point.m_eig, axes=(others, others)) * inv
-        a_k = new.eigvecs.T @ old.eigvecs
-        s_vec = _contract_except(state.ups_diag, point.w_diags, k)
+        c_k = mode_gram(m_scaled, point.m_eig, k) * inv
+        s_vec = contract_except(state.ups_diag, point.w_diags, k)
         q_k = inv[:, None] * ((a_k * s_vec) @ a_k.T) * inv
         weight = np.diag((n / u.shape[0]) * inv) - state.tau * (c_k + q_k)
         grads.append(gram_gradient_contract(spec, u, new.eigvecs @ weight @ new.eigvecs.T))
@@ -371,7 +365,7 @@ def optimize_factors(
 
     The solver asks for the value and then the gradient at each accepted
     point, so the last candidate's spectral state (Grams, eigenbasis
-    coordinates of mu, basis-change diagonals, gradient) is kept, keyed on
+    coordinates of mu, basis changes, gradient) is kept, keyed on
     the bytes of x, and both callbacks read it.
     """
     shapes = [u.shape for u in initial]
@@ -522,10 +516,6 @@ def fit(
         raise ShapeError(f"data {y.shape} and mask {mask.shape} differ")
     if not mask.any():
         raise ValueError("observation mask is empty; nothing to fit")
-    if config.noise == "probit":
-        observed = y[mask]
-        if not np.all((observed == 0.0) | (observed == 1.0)):
-            raise ValueError("probit noise requires binary observed entries")
 
     if rng is None:
         rng = np.random.default_rng(config.seed)

@@ -189,18 +189,3 @@ def kron_quad(t: np.ndarray, grams: Sequence[SpectralGram]) -> float:
     """vec(t)' S^{-1} vec(t) through the eigenbasis."""
     te = to_eigenbasis(t, grams)
     return multi_mode_vector_contract(te * te, [1.0 / sg.eigvals for sg in grams])
-
-
-def basis_change_diags(
-    new: Sequence[SpectralGram], old: Sequence[SpectralGram]
-) -> list[np.ndarray]:
-    """Per mode: diag(V_old' S_new^{-1} V_old).
-
-    Contracting a diagonal tensor D held in the old eigenbasis against these
-    vectors (``multi_mode_vector_contract``) gives tr(S_new^{-1} V_old D V_old').
-    """
-    out = []
-    for n_sg, o_sg in zip(new, old):
-        a = n_sg.eigvecs.T @ o_sg.eigvecs
-        out.append((a * a).T @ (1.0 / n_sg.eigvals))
-    return out

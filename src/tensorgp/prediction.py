@@ -6,20 +6,19 @@ S_p = S_1 x ... x S_K, so with s = rho^2 tau* the predictive moments
     mean(i)     = k_i' (S_p + s I)^{-1} vec(target)
     variance(i) = 1 + (k(i,i) - k_i' (S_p + s I)^{-1} k_i) / tau*
 
-hold for every cell at once in the Kronecker eigenbasis S_p = V diag(lam) V'
-(V = V_1 x ... x V_K, lam = ``kron_eigvals``):
+are the E-step posterior of the latent tensor evaluated at tau = tau*: the
+mean grid is ``e_step_m``'s posterior mean, and the bracket over tau* is the
+marginal latent variance Ups_ii.  ``e_step_m`` holds Ups as the diagonal D
+in the Kronecker eigenbasis V = V_1 x ... x V_K, so
 
-    mean grid    = V diag(lam / (lam + s)) V' vec(target)
-    bracket grid = (V o V) (lam s / (lam + s))
-    variance     = 1 + bracket / tau*
+    variance = 1 + (V o V) D.
 
 ``V o V`` is the entry-wise square of V, itself the Kronecker product of the
 squared per-mode eigenvector matrices, so both grids are mode products in
-O(n sum_k n_k).  The bracket is a sum of nonnegative terms, so it needs no
-clipping.  ``tau*`` is the posterior mode of the precision mixer for the t
-process and exactly 1 for the Gaussian process.  The target is the final
-E-step tensor: truncated-normal means for probit, the imputed observation
-tensor for Gaussian noise.
+O(n sum_k n_k), and the variance is a sum of nonnegative terms.  ``tau*`` is
+the posterior mode of the precision mixer for the t process and exactly 1 for
+the Gaussian process.  The target is the final E-step tensor: truncated-normal
+means for probit, the imputed observation tensor for Gaussian noise.
 
 The two grids are cached on the model, keyed by the resolved rho, the first
 time a prediction needs them; every later cell costs one lookup.  Single-cell
@@ -39,8 +38,7 @@ import numpy as np
 
 from .distributions import std_normal_cdf
 from .errors import ShapeError
-from .inference import FittedModel
-from .kernels import from_eigenbasis, kron_eigvals, to_eigenbasis
+from .inference import FittedModel, e_step_m
 from .tensors import mode_k_product
 
 
@@ -102,16 +100,10 @@ def _grids(model: FittedModel, rho: float | None) -> tuple[np.ndarray, np.ndarra
     rho = model.config.rho if rho is None else float(rho)
     cached = model._predictive_grids.get(rho)
     if cached is None:
-        grams = model.mode_grams
-        s = rho * rho * model.tau_star
-        lam = kron_eigvals(grams)
-        shrink = lam / (lam + s)
-        target_eig = to_eigenbasis(np.asarray(model.state.ez, dtype=np.float64), grams)
-        mean = from_eigenbasis(target_eig * shrink, grams)
-        bracket = shrink * s
-        for k, sg in enumerate(grams):
-            bracket = mode_k_product(bracket, sg.eigvecs * sg.eigvecs, k)
-        cached = model._predictive_grids[rho] = (mean, 1.0 + bracket / model.tau_star)
+        mean, latent = e_step_m(model.state.ez, model.mode_grams, model.tau_star, rho)
+        for k, sg in enumerate(model.mode_grams):
+            latent = mode_k_product(latent, sg.eigvecs * sg.eigvecs, k)
+        cached = model._predictive_grids[rho] = (mean, 1.0 + latent)
     return cached
 
 

@@ -7,18 +7,19 @@ Coordinate tensor files are line-oriented text:
     ...
 
 Indices are 1-based; unlisted cells are missing unless the header says
-``dense`` (then every cell must appear exactly once).  Blank lines and lines
-starting with ``#`` are ignored.  Values are written with 17 significant
-digits so 64-bit floats round-trip exactly.  An optional binary container
-(``tensorbin`` magic) stores the same records as little-endian int32 indices
-and float64 values for large tensors.  Both formats share one record
-validator, which reports the first fault in file order (``line N`` or
-``record N``).
+``dense`` (then every cell must appear exactly once).  ``#`` starts a comment
+that runs to the end of the line; blank lines are ignored.  Values are written
+with 17 significant digits so 64-bit floats round-trip exactly.  An optional
+binary container (``tensorbin`` magic) stores the same records as
+little-endian int32 indices and float64 values for large tensors.  Both
+formats share one record validator, which reports the first fault in file
+order (``line N`` or ``record N``).
 
 Model files are JSON with a format/version tag and hold only what prediction
-reads: the factors, the final E-step target and tau*.  A loaded model
-rebuilds its Gram matrices deterministically from the stored factors, so
-predictions from a round-tripped model are bit-identical to the original's.
+reads: the factors, the final E-step target and tau*; a file whose dims,
+factor rows, target shape and mask length disagree is rejected.  A loaded
+model rebuilds its Gram matrices deterministically from the stored factors,
+so predictions from a round-tripped model are bit-identical to the original's.
 
 Run configuration files are flat ``key = value`` text with ``#`` comments;
 unknown keys are rejected.
@@ -163,8 +164,8 @@ def read_tensor(path) -> tuple[np.ndarray, np.ndarray]:
     dims = fault = pending = None
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             tokens = line.split()
             if dims is None:
@@ -324,6 +325,12 @@ def load_model(path) -> FittedModel:
             tau=s["tau"],
         )
         mask = payload["mask"]
+        if [u.shape[0] if u.ndim == 2 else None for u in factors] != list(dims):
+            raise ValueError(f"factor shapes {[u.shape for u in factors]} do not match dims {dims}")
+        if state.ez.shape != dims:
+            raise ValueError(f"target shape {state.ez.shape} does not match dims {dims}")
+        if mask is not None and len(mask) != state.ez.size:
+            raise ValueError(f"mask has {len(mask)} entries for {state.ez.size} cells")
         mask = None if mask is None else np.asarray(mask, dtype=bool).reshape(dims)
         specs = config.kernels(len(dims))
         grams = [gram_matrix(spec, u) for spec, u in zip(specs, factors)]

@@ -77,10 +77,28 @@ def mode_k_product(t: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     return out.reshape(shape[:k] + (m.shape[0],) + shape[k + 1 :])
 
 
-def frobenius_norm_sq(t: np.ndarray) -> float:
-    """Sum of squared entries."""
-    t = np.asarray(t, dtype=np.float64)
-    return float(np.vdot(t, t))
+def contract_except(d: np.ndarray, vecs: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Contract every mode of ``d`` but ``k`` against its vector in ``vecs``.
+
+    Returns a new vector on mode k (``vecs[k]`` is checked but not used).
+    Each other mode costs one matrix-vector product on a reshaped C-order
+    view: the modes after k are contracted from the last, then those before k
+    from the first.
+    """
+    d = as_tensor(d)
+    if len(vecs) != d.ndim or not 0 <= k < d.ndim:
+        raise ShapeError(f"{len(vecs)} vectors and mode {k} for an order-{d.ndim} tensor")
+    vecs = [np.asarray(v, dtype=np.float64) for v in vecs]
+    for v, n in zip(vecs, d.shape):
+        if v.ndim != 1 or v.size != n:
+            raise ShapeError(f"contraction vector of length {v.size} against dimension {n}")
+    shape = d.shape
+    out = d.copy() if d.ndim == 1 else d
+    for j in reversed(range(k + 1, d.ndim)):  # out holds modes 0..j
+        out = out.reshape(math.prod(shape[:j]), shape[j]) @ vecs[j]
+    for j in range(k):  # out holds modes j..k
+        out = vecs[j] @ out.reshape(shape[j], math.prod(shape[j + 1 : k + 1]))
+    return out.reshape(shape[k])
 
 
 def multi_mode_vector_contract(d: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
@@ -89,15 +107,22 @@ def multi_mode_vector_contract(d: np.ndarray, vecs: Sequence[np.ndarray]) -> flo
     Equals ``dot(kron(v1, ..., vK), vec(d))`` without forming the Kronecker
     vector; cost is O(prod(dims)).
     """
-    d = np.asarray(d, dtype=np.float64)
-    if len(vecs) != d.ndim:
-        raise ShapeError(f"{len(vecs)} vectors for an order-{d.ndim} tensor")
-    out = d
-    for v in vecs:
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim != 1 or v.size != out.shape[0]:
-            raise ShapeError(
-                f"contraction vector of length {v.size} against dimension {out.shape[0]}"
-            )
-        out = np.tensordot(out, v, axes=([0], [0]))
-    return float(out)
+    rest = contract_except(d, vecs, 0)
+    return float(np.asarray(vecs[0], dtype=np.float64) @ rest)
+
+
+def mode_gram(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """unfold_k(a) @ unfold_k(b)' for two tensors of the same shape.
+
+    Both are viewed without copying as (before, n_k, after) stacks, so this is
+    one batched GEMM summed over the batch, or one GEMM for the last mode.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape or not 0 <= k < a.ndim:
+        raise ShapeError(f"mode-{k} unfoldings of shapes {a.shape} and {b.shape}")
+    shape = a.shape
+    before, after = math.prod(shape[:k]), math.prod(shape[k + 1 :])
+    a3, b3 = a.reshape(before, shape[k], after), b.reshape(before, shape[k], after)
+    if after == 1:
+        return a3[:, :, 0].T @ b3[:, :, 0]
+    return np.matmul(a3, b3.transpose(0, 2, 1)).sum(axis=0)

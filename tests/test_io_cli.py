@@ -117,6 +117,20 @@ class TestTensorFiles:
         np.testing.assert_array_equal(t, [1.5, 0.0, -2.0])
         np.testing.assert_array_equal(mask, [True, False, True])
 
+    def test_trailing_comments_ignored(self, tmp_path):
+        path = tmp_path / "c.tensor"
+        path.write_text("tensor 2 2 3 # a 2 x 3 grid\n1 1 1.5 # note\n2 3 -2.0#tight\n")
+        t, mask = read_tensor(path)
+        np.testing.assert_array_equal(t, [[1.5, 0.0, 0.0], [0.0, 0.0, -2.0]])
+        assert mask.sum() == 2
+
+    def test_trailing_comment_on_dense_header(self, tmp_path):
+        path = tmp_path / "c.tensor"
+        path.write_text("tensor 1 2 dense # every cell\n1 1.0\n2 2.0 # last\n")
+        t, mask = read_tensor(path)
+        np.testing.assert_array_equal(t, [1.0, 2.0])
+        assert mask.all()
+
     def test_binary_round_trip(self, rng, tmp_path):
         t = rng.normal(size=(3, 4, 2))
         mask = rng.random((3, 4, 2)) < 0.6
@@ -599,6 +613,32 @@ class TestCli:
         assert err.startswith("error:") and "max_em_iters" in err
         assert "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda p: p.update(dims=[5, 4]), "factor shapes [(4, 2), (5, 2)] do not match dims (5, 4)"),
+            (lambda p: p["factors"][1].pop(), "factor shapes [(4, 2), (4, 2)] do not match dims (4, 5)"),
+            (lambda p: p["state"].update(ez=np.zeros((5, 4)).tolist()),
+             "target shape (5, 4) does not match dims (4, 5)"),
+            (lambda p: p["mask"].pop(), "mask has 19 entries for 20 cells"),
+        ],
+        ids=["dims_swapped", "factor_row_dropped", "target_shape", "mask_short"],
+    )
+    def test_model_file_with_mismatched_shapes(self, tmp_path, capsys, corrupt, message):
+        rng = np.random.default_rng(4)
+        y = rng.normal(size=(4, 5))
+        config = ModelConfig(rank=2, kernel=KernelSpec("gaussian", 0.3), max_em_iters=2)
+        path = tmp_path / "m.json"
+        save_model(path, fit(y, rng.random((4, 5)) < 0.7, config))
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "p.txt"
+        assert main(["predict", "--model", str(path), "--indices", "all-missing", "--out", str(out)]) == 1
+        assert f"corrupt model file {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["fit", "--data", str(tmp_path / "nope.tensor"), "--config",

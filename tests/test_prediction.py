@@ -246,13 +246,13 @@ class TestGrid:
         from tensorgp import prediction
 
         calls = []
-        inner = prediction.to_eigenbasis
+        inner = prediction.e_step_m
 
         def counted(*args):
             calls.append(1)
             return inner(*args)
 
-        monkeypatch.setattr(prediction, "to_eigenbasis", counted)
+        monkeypatch.setattr(prediction, "e_step_m", counted)
         return calls
 
     def test_second_query_does_no_eigenbasis_transform(self, rng, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from tensorgp.errors import ShapeError
 from tensorgp.tensors import (
-    frobenius_norm_sq,
+    contract_except,
+    mode_gram,
     mode_k_product,
     multi_index,
     multi_mode_vector_contract,
@@ -122,6 +123,65 @@ class TestModeKProductLayouts:
             for rows in (0, dims[k] + 1):
                 self._check(t, rng.normal(size=(rows, dims[k])), k)
 
+    @pytest.mark.parametrize("d_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("v_layout", ["c_order", "strided_slice"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_contract_except_matches_einsum(self, rng, order, d_layout, v_layout):
+        dims = (3, 4, 2, 5)[:order]
+        d = LAYOUTS[d_layout](rng.normal(size=dims))
+        vecs = [LAYOUTS[v_layout](rng.normal(size=n)) for n in dims]
+        before = [d.copy()] + [v.copy() for v in vecs]
+        idx = "abcd"[:order]
+        for k in range(order):
+            out = contract_except(d, vecs, k)
+            others = [v for j, v in enumerate(vecs) if j != k]
+            spec = ",".join([idx] + [c for j, c in enumerate(idx) if j != k]) + "->" + idx[k]
+            expected = np.einsum(spec, d, *others)
+            scale = np.einsum(spec, np.abs(d), *map(np.abs, others))
+            assert out.shape == (dims[k],)
+            assert not np.shares_memory(out, d)
+            assert np.all(np.abs(out - expected) <= 1e-14 * scale)
+        for got, want in zip([d] + vecs, before):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("a_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("b_layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_mode_gram_matches_einsum(self, rng, order, a_layout, b_layout):
+        dims = (3, 4, 2, 5)[:order]
+        a = LAYOUTS[a_layout](rng.normal(size=dims))
+        b = LAYOUTS[b_layout](rng.normal(size=dims))
+        before = (a.copy(), b.copy())
+        idx = "abcd"[:order]
+        for k in range(order):
+            out = mode_gram(a, b, k)
+            spec = f"{idx},{idx[:k]}z{idx[k + 1:]}->{idx[k]}z"
+            expected = np.einsum(spec, a, b)
+            scale = np.einsum(spec, np.abs(a), np.abs(b))
+            assert out.shape == (dims[k], dims[k])
+            assert np.all(np.abs(out - expected) <= 1e-14 * scale)
+        np.testing.assert_array_equal(a, before[0])
+        np.testing.assert_array_equal(b, before[1])
+
+    @pytest.mark.parametrize("dims", [(3, 0, 4), (0, 2), (2, 3, 0), (0,)])
+    def test_contractions_on_zero_length_dimension(self, rng, dims):
+        d = rng.normal(size=dims)
+        vecs = [rng.normal(size=n) for n in dims]
+        for k in range(len(dims)):
+            unfold = np.moveaxis(d, k, 0).reshape(dims[k], int(np.prod(np.delete(dims, k))))
+            others = [v for j, v in enumerate(vecs) if j != k]
+            kron = np.ones(1)
+            for v in others:
+                kron = np.kron(kron, v)
+            np.testing.assert_array_equal(contract_except(d, vecs, k), unfold @ kron)
+            np.testing.assert_array_equal(mode_gram(d, d, k), unfold @ unfold.T)
+
+    def test_mode_gram_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            mode_gram(np.ones((2, 3)), np.ones((3, 3)), 1)
+        with pytest.raises(ShapeError):
+            mode_gram(np.ones((2, 3)), np.ones((2, 3)), 2)
+
 
 class TestTuckerMultiply:
     """Chained mode products against the Kronecker identity the package relies on."""
@@ -159,19 +219,6 @@ class TestVectorize:
             assert v[j - 1] == t[tuple(i - 1 for i in multi_index(j, dims))]
 
 
-class TestFrobenius:
-    def test_zero(self):
-        assert frobenius_norm_sq(np.zeros((3, 3))) == 0.0
-
-    def test_three_four(self):
-        assert frobenius_norm_sq(np.array([[3.0, 4.0]])) == pytest.approx(25.0)
-
-    def test_equals_vec_dot(self, rng):
-        t = rng.normal(size=(2, 3, 2))
-        v = t.ravel()
-        assert frobenius_norm_sq(t) == pytest.approx(float(v @ v))
-
-
 class TestMultiModeContract:
     def test_basis_vectors_pick_first_entry(self, rng):
         d = rng.normal(size=(2, 3, 2))
@@ -194,3 +241,22 @@ class TestMultiModeContract:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             multi_mode_vector_contract(np.ones((2, 2)), [np.ones(3), np.ones(2)])
+        with pytest.raises(ShapeError):
+            multi_mode_vector_contract(np.ones((2, 2)), [np.ones(2)])
+        with pytest.raises(ShapeError):
+            contract_except(np.ones((2, 2)), [np.ones(2), np.ones(2)], 2)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_einsum(self, rng, order, layout):
+        dims = (3, 4, 2, 5)[:order]
+        d = LAYOUTS[layout](rng.normal(size=dims))
+        vecs = [LAYOUTS[layout](rng.normal(size=n)) for n in dims]
+        before = [d.copy()] + [v.copy() for v in vecs]
+        idx = "abcd"[:order]
+        spec = ",".join([idx, *idx]) + "->"
+        expected = np.einsum(spec, d, *vecs)
+        scale = np.einsum(spec, np.abs(d), *map(np.abs, vecs))
+        assert abs(multi_mode_vector_contract(d, vecs) - expected) <= 1e-14 * scale
+        for got, want in zip([d] + vecs, before):
+            np.testing.assert_array_equal(got, want)
