@@ -120,9 +120,9 @@ def _cmd_predict(args) -> int:
         values = [prediction.std_normal_cdf(mean / np.sqrt(variance))]
     else:
         values = [mean, variance]
-    rows = np.column_stack([np.reshape(indices, (len(moments), len(dims))), *values])
+    columns = [*np.reshape(indices, (len(moments), len(dims))).T, *values]
     with open(args.out, "w") as fh:
-        np.savetxt(fh, rows, fmt="%d " * len(dims) + " ".join(["%.17g"] * len(values)))
+        tensorio._write_rows(fh, columns, "%d " * len(dims) + " ".join(["%.17g"] * len(values)))
     print(f"predict: wrote {len(moments)} predictions to {args.out}")
     return 0
 

@@ -139,7 +139,4 @@ def predict_batch(
     """Moments at many indices, read from the same grids as single-cell prediction."""
     flat = _flat_positions(indices, model.dims)
     mean, variance = _grids(model, rho)
-    return [
-        PredictiveMoments(mean=m, variance=v)
-        for m, v in zip(mean.ravel()[flat].tolist(), variance.ravel()[flat].tolist())
-    ]
+    return list(map(PredictiveMoments, mean.ravel()[flat].tolist(), variance.ravel()[flat].tolist()))

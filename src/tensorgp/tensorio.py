@@ -9,17 +9,28 @@ Coordinate tensor files are line-oriented text:
 Indices are 1-based; unlisted cells are missing unless the header says
 ``dense`` (then every cell must appear exactly once).  ``#`` starts a comment
 that runs to the end of the line; blank lines are ignored.  Values are written
-with 17 significant digits so 64-bit floats round-trip exactly.  An optional
-binary container (``tensorbin`` magic) stores the same records as
-little-endian int32 indices and float64 values for large tensors.  Both
+with 17 significant digits so 64-bit floats round-trip exactly.
+
+Text files move a block of _BLOCK_ROWS rows at a time.  The writer formats a
+block with one ``%`` format over its ``tolist()`` columns and writes it with
+one call, never building a whole-file string; prediction files from the CLI
+use the same writer.  The reader cuts comments, splits and counts the fields
+of each line of a block, then converts the block's values and indices with
+one ``float`` and one ``int`` pass; a block that fails to convert is
+converted again line by line, with the same ``int``/``float``, to find the
+first bad line.
+
+An optional binary container (``tensorbin`` magic) stores the same records
+as little-endian int32 indices and float64 values for large tensors.  Both
 formats share one record validator, which reports the first fault in file
 order (``line N`` or ``record N``).
 
 Model files are JSON with a format/version tag and hold only what prediction
 reads: the factors, the final E-step target and tau*; a file whose dims,
-factor rows, target shape and mask length disagree is rejected.  A loaded
-model rebuilds its Gram matrices deterministically from the stored factors,
-so predictions from a round-tripped model are bit-identical to the original's.
+factor rows, target shape and mask length disagree, or whose mask holds an
+entry other than 0 or 1, is rejected.  A loaded model rebuilds its Gram
+matrices deterministically from the stored factors, so predictions from a
+round-tripped model are bit-identical to the original's.
 
 Run configuration files are flat ``key = value`` text with ``#`` comments;
 unknown keys are rejected.
@@ -30,6 +41,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import asdict, fields
+from itertools import islice
 
 import numpy as np
 
@@ -43,6 +55,8 @@ MODEL_VERSION = 2
 
 _TEXT_MAGIC = "tensor"
 _BINARY_MAGIC = b"tensorbin"
+# Rows per formatted write and per tokenized read of a text file.
+_BLOCK_ROWS = 4096
 
 
 def _record_dtype(order: int) -> np.dtype:
@@ -61,7 +75,7 @@ def write_tensor(path, t: np.ndarray, mask: np.ndarray | None = None, binary: bo
     dims = t.shape
     dense = bool(mask.all())
     flat_idx = np.flatnonzero(mask.ravel())
-    coords = np.stack(np.unravel_index(flat_idx, dims), axis=1) + 1
+    coords = [c + 1 for c in np.unravel_index(flat_idx, dims)]
     values = t.ravel()[flat_idx]
 
     magic = _BINARY_MAGIC.decode() if binary else _TEXT_MAGIC
@@ -71,7 +85,7 @@ def write_tensor(path, t: np.ndarray, mask: np.ndarray | None = None, binary: bo
 
     if binary:
         rec = np.empty(len(values), dtype=_record_dtype(len(dims)))
-        rec["idx"] = coords
+        rec["idx"] = np.column_stack(coords)
         rec["val"] = values
         with open(path, "wb") as fh:
             fh.write(header.encode() + b"\n")
@@ -81,7 +95,25 @@ def write_tensor(path, t: np.ndarray, mask: np.ndarray | None = None, binary: bo
 
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, np.column_stack([coords, values]), fmt="%d " * len(dims) + "%.17g")
+        _write_rows(fh, [*coords, values], "%d " * len(dims) + "%.17g")
+
+
+def _write_rows(fh, columns: list[np.ndarray], fmt: str) -> None:
+    """Write one ``fmt`` line per row of the equal-length ``columns``.
+
+    Each block of _BLOCK_ROWS rows is formatted by one ``%`` over its
+    interleaved ``tolist()`` values and written with one call, so no
+    whole-file string is built.  ``%d`` of an int and ``%.17g`` of a float
+    give the same bytes as formatting row by row.
+    """
+    width = len(columns)
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[lo : lo + _BLOCK_ROWS].tolist() for c in columns]
+        rows = len(block[0])
+        flat = [None] * (rows * width)
+        for k, col in enumerate(block):
+            flat[k::width] = col
+        fh.write((fmt + "\n") * rows % tuple(flat))
 
 
 def _parse_header(tokens: list[str], lineno: int) -> tuple[tuple[int, ...], bool]:
@@ -158,47 +190,78 @@ def read_tensor(path) -> tuple[np.ndarray, np.ndarray]:
         if first.startswith(_BINARY_MAGIC):
             return _read_binary(fh, first)
 
-    # Tokenize up to the first malformed line; the records before it are
-    # validated first, so the fault reported is the first one in the file.
+    with open(path, "r") as fh:
+        return _read_text(fh)
+
+
+def _read_text(fh) -> tuple[np.ndarray, np.ndarray]:
+    """Tokenize a block of lines at a time up to the first malformed line.
+
+    Each line costs the comment cut, the split and the field-count check; a
+    block's value tokens and index tokens are then converted by one
+    ``float`` and one ``int`` pass.  The records before a malformed line are
+    validated first, so the fault reported is the first one in the file.
+    """
     idx, vals, lines = array("i"), array("d"), array("i")
     dims = fault = pending = None
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if dims is None:
-                if tokens[0] != _TEXT_MAGIC:
-                    raise TensorFormatError(
-                        f"line {lineno}: expected '{_TEXT_MAGIC}' header, got {tokens[0]!r}"
-                    )
-                dims, dense = _parse_header(tokens, lineno)
-                continue
-            if len(tokens) != len(dims) + 1:
-                fault = f"line {lineno}: expected {len(dims)} indices and a value, got {len(tokens)} fields"
-                break
-            try:
-                row = [int(x) for x in tokens[:-1]]
-            except ValueError:
-                fault = f"line {lineno}: malformed index {' '.join(tokens[:-1])!r}"
-                break
-            try:
-                idx.fromlist(row)  # unchanged if an index overflows a C int
-                vals.append(float(tokens[-1]))
-            except (OverflowError, ValueError):
-                fault, pending = f"line {lineno}: malformed record {line!r}", row
-                break
-            lines.append(lineno)
+    for lineno, raw in enumerate(fh, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            if tokens[0] != _TEXT_MAGIC:
+                raise TensorFormatError(f"line {lineno}: expected '{_TEXT_MAGIC}' header, got {tokens[0]!r}")
+            dims, dense = _parse_header(tokens, lineno)
+            break
     if dims is None:
         raise TensorFormatError("line 1: empty file, no header")
-    rows = np.frombuffer(idx, dtype=np.intc).reshape(-1, len(dims))
-    flat = _flat_positions(rows[: len(vals)], dims, lambda r: f"line {lines[r]}")
+    order = len(dims)
+    while fault is None and (block := list(islice(fh, _BLOCK_ROWS))):
+        start, toks, nums = lineno + 1, [], array("i")
+        for lineno, raw in enumerate(block, start):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if len(tokens) != order + 1:
+                fault = f"line {lineno}: expected {order} indices and a value, got {len(tokens)} fields"
+                break
+            toks += tokens
+            nums.append(lineno)
+        try:
+            block_vals = array("d", map(float, toks[order :: order + 1]))
+            del toks[order :: order + 1]
+            block_idx = array("i", map(int, toks))
+        except (OverflowError, ValueError):
+            fault, pending, lineno = _convert_lines(block, start, nums, idx, vals, lines)
+            break
+        idx += block_idx
+        vals += block_vals
+        lines += nums
+    rows = np.frombuffer(idx, dtype=np.intc).reshape(-1, order)
+    flat = _flat_positions(rows, dims, lambda r: f"line {lines[r]}")
     if fault:
         if pending:  # a line whose indices parsed reports their range fault first
             _flat_positions(np.array([pending]), dims, lambda r: f"line {lineno}")
         raise TensorFormatError(fault)
     return _grid(flat, np.frombuffer(vals), dims, dense)
+
+
+def _convert_lines(block: list[str], start: int, nums, idx, vals, lines):
+    """Convert the records of a block one line at a time, as far as the first
+    that fails; returns its fault, its parsed indices (or None) and its line."""
+    for lineno in nums:
+        line = block[lineno - start].split("#", 1)[0].strip()
+        tokens = line.split()
+        try:
+            row = [int(x) for x in tokens[:-1]]
+        except ValueError:
+            return f"line {lineno}: malformed index {' '.join(tokens[:-1])!r}", None, lineno
+        try:
+            value = float(tokens[-1])
+            idx.fromlist(row)  # unchanged if an index overflows a C int
+        except (OverflowError, ValueError):
+            return f"line {lineno}: malformed record {line!r}", row, lineno
+        vals.append(value)
+        lines.append(lineno)
+    raise AssertionError("a block that failed to convert converted line by line")
 
 
 def _read_binary(fh, first_line: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +394,11 @@ def load_model(path) -> FittedModel:
             raise ValueError(f"target shape {state.ez.shape} does not match dims {dims}")
         if mask is not None and len(mask) != state.ez.size:
             raise ValueError(f"mask has {len(mask)} entries for {state.ez.size} cells")
-        mask = None if mask is None else np.asarray(mask, dtype=bool).reshape(dims)
+        if mask is not None:
+            if not set(mask) <= {0, 1}:
+                bad = next(v for v in mask if v not in (0, 1))
+                raise ValueError(f"mask entry {bad!r} is not 0 or 1")
+            mask = np.asarray(mask, dtype=bool).reshape(dims)
         specs = config.kernels(len(dims))
         grams = [gram_matrix(spec, u) for spec, u in zip(specs, factors)]
         return FittedModel(

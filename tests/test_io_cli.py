@@ -17,6 +17,7 @@ from tensorgp.inference import ModelConfig, fit
 from tensorgp.kernels import KernelSpec
 from tensorgp.prediction import predict_batch
 from tensorgp.tensorio import (
+    _BLOCK_ROWS as BLOCK,
     _EXPERIMENT_KEYS,
     experiment_spec_from_dict,
     load_model,
@@ -101,6 +102,29 @@ class TestTensorFiles:
             ("1 1 1.0\n1 10000000000000000000000 1.0\n",
              "line 3: index 10000000000000000000000 out of range [1, 2] in mode 2"),
             ("2 2 1.0\n3 x 1.0\n", "line 3: malformed index '3 x'"),
+            ("1 1 abc\n1 1\n", "line 2: malformed record '1 1 abc'"),
+            # Bodies longer than one reader block; the header is line 1, so
+            # the second block starts at line BLOCK + 2.
+            pytest.param("1 1 1.0\n" + "# filler\n" * BLOCK + "1 1 2.0\n",
+                         f"line {BLOCK + 3}: duplicate index (1, 1)", id="duplicate_across_blocks"),
+            pytest.param("3 1 1.0\n" + "#\n" * (BLOCK - 1) + "1 x 1.0\n",
+                         "line 2: index 3 out of range [1, 2] in mode 1", id="malformed_index_starts_block"),
+            pytest.param("3 1 1.0\n" + "#\n" * (BLOCK - 1) + "1 1 abc\n",
+                         "line 2: index 3 out of range [1, 2] in mode 1", id="malformed_record_starts_block"),
+            pytest.param("1 1 1.0\n" + "#\n" * (BLOCK - 1) + "1 2 abc\n",
+                         f"line {BLOCK + 2}: malformed record '1 2 abc'",
+                         id="malformed_record_in_later_block"),
+            pytest.param("1 1 1.0\n" + "\n" * BLOCK + "1 99999999999 1.0\n",
+                         f"line {BLOCK + 3}: index 99999999999 out of range [1, 2] in mode 2",
+                         id="overflow_index_in_later_block"),
+            pytest.param("1 1 1.0\n" + "# c\n\n" * BLOCK + "2 2 1.0  # note\n2 2 3.0\n",
+                         f"line {2 * BLOCK + 4}: duplicate index (2, 2)", id="filler_straddles_blocks"),
+            pytest.param("1 1 1.0\n" + "\n# c\n" * BLOCK + "2 2\n",
+                         f"line {2 * BLOCK + 3}: expected 2 indices and a value, got 2 fields",
+                         id="field_count_after_straddling_filler"),
+            pytest.param("1 1\n" + "#\n" * BLOCK + "3 1 1.0\n",
+                         "line 2: expected 2 indices and a value, got 2 fields",
+                         id="stops_at_first_block_fault"),
         ],
     )
     def test_first_fault_in_file_order(self, tmp_path, body, message):
@@ -109,6 +133,35 @@ class TestTensorFiles:
         with pytest.raises(TensorFormatError) as err:
             read_tensor(path)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "dims, observed",
+        [
+            ((6,), [True] * 6),
+            ((2, 3, 2, 2), [True, False, True, True, False, True] * 4),
+            ((2, 3), [False] * 6),
+            ((3, BLOCK), None),
+        ],
+        ids=["order1_dense", "order4_partial", "empty_mask", "more_rows_than_a_block"],
+    )
+    def test_text_file_bytes(self, tmp_path, dims, observed):
+        # Pinned against a per-line writer: str(i) per index, format(x, '.17g') per value.
+        rng = np.random.default_rng(2)
+        n = int(np.prod(dims))
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
+        t = np.resize(np.array(specials + rng.normal(size=n).tolist()), dims)
+        mask = rng.random(dims) < 0.7 if observed is None else np.reshape(observed, dims)
+        path = tmp_path / "t.tensor"
+        write_tensor(path, t, mask)
+        header = f"tensor {len(dims)} " + " ".join(map(str, dims)) + (" dense" if mask.all() else "")
+        expected = [header + "\n"]
+        for cell in np.ndindex(*dims):
+            if mask[cell]:
+                expected.append(" ".join(str(i + 1) for i in cell) + f" {format(float(t[cell]), '.17g')}\n")
+        assert path.read_bytes() == "".join(expected).encode()
+        back, back_mask = read_tensor(path)
+        np.testing.assert_array_equal(back_mask, mask)
+        np.testing.assert_array_equal(back[mask].view(np.int64), t[mask].view(np.int64))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.tensor"
@@ -557,6 +610,16 @@ class TestCli:
                          "--out", str(out)]) == 0
             assert out.read_bytes() == "".join(expected).encode()
 
+    def test_predict_all_missing_on_fully_observed_model(self, tmp_path, capsys):
+        y = np.random.default_rng(6).normal(size=(3, 4))
+        config = ModelConfig(rank=2, kernel=KernelSpec("gaussian", 0.3), max_em_iters=2)
+        save_model(tmp_path / "m.json", fit(y, np.ones(y.shape, dtype=bool), config))
+        out = tmp_path / "p.txt"
+        assert main(["predict", "--model", str(tmp_path / "m.json"), "--indices", "all-missing",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+        assert "wrote 0 predictions" in capsys.readouterr().out
+
     def test_import_leaves_scipy_stats_out(self):
         src = str(Path(tensorgp.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -622,8 +685,9 @@ class TestCli:
             (lambda p: p["state"].update(ez=np.zeros((5, 4)).tolist()),
              "target shape (5, 4) does not match dims (4, 5)"),
             (lambda p: p["mask"].pop(), "mask has 19 entries for 20 cells"),
+            (lambda p: p["mask"].__setitem__(3, 7), "mask entry 7 is not 0 or 1"),
         ],
-        ids=["dims_swapped", "factor_row_dropped", "target_shape", "mask_short"],
+        ids=["dims_swapped", "factor_row_dropped", "target_shape", "mask_short", "mask_entry_not_0_or_1"],
     )
     def test_model_file_with_mismatched_shapes(self, tmp_path, capsys, corrupt, message):
         rng = np.random.default_rng(4)
