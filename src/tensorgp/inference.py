@@ -88,12 +88,17 @@ class ModelConfig:
             raise ValueError(f"unknown noise model {self.noise!r}")
         if self.process not in PROCESSES:
             raise ValueError(f"unknown process {self.process!r}")
+        if not math.isfinite(self.nu):
+            raise ValueError("nu must be finite")
+        # Every comparison with NaN is False, so the range checks reject NaN.
         if self.process == "t_process" and not self.nu > 2:
             raise ValueError("t process requires nu > 2")
-        if not self.gaussian_sigma > 0:
-            raise ValueError("gaussian_sigma must be positive")
-        if self.l1_lambda < 0:
-            raise ValueError("l1_lambda must be nonnegative")
+        if not 0 < self.gaussian_sigma < math.inf:
+            raise ValueError("gaussian_sigma must be positive and finite")
+        if not 0 <= self.l1_lambda < math.inf:
+            raise ValueError("l1_lambda must be nonnegative and finite")
+        if not self.em_rel_tol >= 0:
+            raise ValueError("em_rel_tol must be nonnegative")
         if self.max_em_iters < 1:
             raise ValueError("max_em_iters must be at least 1")
         if self.mstep_max_iters < 0:
@@ -327,8 +332,11 @@ def _gradient_at(
         c_k = mode_gram(m_scaled, point.m_eig, k) * inv
         s_vec = contract_except(state.ups_diag, point.w_diags, k)
         q_k = inv[:, None] * ((a_k * s_vec) @ a_k.T) * inv
-        weight = np.diag((n / u.shape[0]) * inv) - state.tau * (c_k + q_k)
-        grads.append(gram_gradient_contract(spec, u, new.eigvecs @ weight @ new.eigvecs.T))
+        weight = -state.tau * (c_k + q_k)
+        weight.flat[:: new.size + 1] += (n / new.size) * inv
+        grads.append(
+            gram_gradient_contract(spec, u, new.eigvecs @ weight @ new.eigvecs.T, new.kernel)
+        )
     return grads
 
 
@@ -369,12 +377,14 @@ def optimize_factors(
     the bytes of x, and both callbacks read it.
     """
     shapes = [u.shape for u in initial]
-    splits = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+    sizes = [math.prod(s) for s in shapes]
+    starts = np.cumsum([0] + sizes).tolist()
+    parts = [(slice(a, a + size), shape) for a, size, shape in zip(starts, sizes, shapes)]
     specs = config.kernels(len(initial))
     cache: dict[bytes, _SpectralPoint] = {}
 
     def unpack(x: np.ndarray) -> list[np.ndarray]:
-        return [part.reshape(shape) for part, shape in zip(np.split(x, splits), shapes)]
+        return [x[part].reshape(shape) for part, shape in parts]
 
     def point_at(x: np.ndarray) -> _SpectralPoint:
         key = x.tobytes()

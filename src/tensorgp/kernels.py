@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError, ShapeError
 from .tensors import mode_k_product, multi_mode_vector_contract
@@ -61,16 +60,33 @@ class SpectralGram:
 
     ``gram == eigvecs @ diag(eigvals) @ eigvecs.T`` up to round-off and floor
     clipping; eigenvalues are ascending (LAPACK order) and strictly positive.
+    ``kernel`` is the jitter-free kernel matrix the Gram was built from, kept
+    so the M-step gradient (:func:`gram_gradient_contract`) need not rebuild it.
     """
 
     gram: np.ndarray
     eigvecs: np.ndarray
     eigvals: np.ndarray
     jitter_applied: float
+    kernel: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.gram.shape[0]
+
+
+def _sq_distances(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between all row pairs.
+
+    The squares are summed one column at a time, in column order, which is the
+    order of ``scipy.spatial.distance.cdist`` and gives the same bits; a
+    ``sum`` over the last axis switches to pairwise summation at 8 columns.
+    """
+    out = np.zeros((rows.shape[0], rows.shape[0]))
+    for col in rows.T:
+        d = col[:, None] - col
+        out += d * d
+    return out
 
 
 def kernel_matrix(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
@@ -78,9 +94,9 @@ def kernel_matrix(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if spec.family == "linear":
         return rows @ rows.T
-    metric = "sqeuclidean" if spec.family == "gaussian" else "euclidean"
-    k = np.exp(-spec.gamma * cdist(rows, rows, metric=metric))
-    # cdist round-off can leave the diagonal a hair off 1; pin it.
+    sq = _sq_distances(rows)
+    k = np.exp(-spec.gamma * (sq if spec.family == "gaussian" else np.sqrt(sq)))
+    # A row with an infinite entry is at NaN distance from itself; k(u, u) = 1.
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -92,16 +108,16 @@ def gram_matrix(spec: KernelSpec, rows: np.ndarray, jitter: float | None = None)
     diagonal and escalates tenfold whenever the spectrum still dips below the
     eigenvalue floor, up to JITTER_MAX_FRACTION.  Passing an explicit jitter
     freezes it (the M-step does this so its objective stays differentiable).
+    The raw kernel is kept on the result as ``kernel``.
     """
     raw = kernel_matrix(spec, rows)
     n = raw.shape[0]
-    scale = float(np.mean(np.diag(raw)))
-    if scale <= 0.0:
-        scale = 1.0
-
     if jitter is not None:
         candidates = [float(jitter)]
     else:
+        scale = float(np.mean(np.diag(raw)))
+        if scale <= 0.0:
+            scale = 1.0
         candidates = []
         j = JITTER_START_FRACTION * scale
         while j <= JITTER_MAX_FRACTION * scale * (1 + 1e-12):
@@ -110,25 +126,31 @@ def gram_matrix(spec: KernelSpec, rows: np.ndarray, jitter: float | None = None)
 
     last_err: Exception | None = None
     for j in candidates:
-        jittered = raw + j * np.eye(n)
+        jittered = raw.copy()
+        jittered.flat[:: n + 1] += j
         try:
             vals, vecs = np.linalg.eigh(jittered)
         except np.linalg.LinAlgError as err:  # pragma: no cover - hard to provoke
             last_err = err
             continue
         if vals[0] >= EIGENVALUE_FLOOR or j == candidates[-1]:
-            return SpectralGram(jittered, vecs, np.maximum(vals, EIGENVALUE_FLOOR), j)
+            return SpectralGram(jittered, vecs, np.maximum(vals, EIGENVALUE_FLOOR), j, raw)
     raise NumericalError(
         f"eigendecomposition failed for {spec.family} Gram of size {n} "
         f"(max jitter {candidates[-1]:.3e}): {last_err}"
     )
 
 
-def gram_gradient_contract(spec: KernelSpec, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def gram_gradient_contract(
+    spec: KernelSpec, rows: np.ndarray, weights: np.ndarray, kernel: np.ndarray
+) -> np.ndarray:
     """Backpropagate a symmetric weight matrix through the Gram construction.
 
     Returns the matrix Z with Z[i, j] = sum_{a,b} W[a, b] * dK[a, b]/d rows[i, j],
     i.e. the adjoint of ``rows -> kernel_matrix(spec, rows)`` applied to W.
+    ``kernel`` is ``kernel_matrix(spec, rows)``, which the caller already holds
+    (``SpectralGram.kernel``), so the kernel is evaluated once per point; the
+    exponential family recomputes only the distances, without a second ``exp``.
     The exponential family is non-differentiable at coincident rows; the
     subgradient there is taken as 0, consistent with symmetry.
     """
@@ -138,14 +160,13 @@ def gram_gradient_contract(spec: KernelSpec, rows: np.ndarray, weights: np.ndarr
         raise ShapeError(f"weight matrix {weights.shape} for {rows.shape[0]} rows")
     if spec.family == "linear":
         return 2.0 * weights @ rows
-    k = kernel_matrix(spec, rows)
     if spec.family == "gaussian":
-        t = weights * k
+        t = weights * kernel
         coeff = 4.0 * spec.gamma
     else:
-        dist = cdist(rows, rows, metric="euclidean")
+        dist = np.sqrt(_sq_distances(rows))
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(dist > 0, weights * k / dist, 0.0)
+            t = np.where(dist > 0, weights * kernel / dist, 0.0)
         coeff = 2.0 * spec.gamma
     return -coeff * (t.sum(axis=1)[:, None] * rows - t @ rows)
 
@@ -182,7 +203,7 @@ def from_eigenbasis(t: np.ndarray, grams: Sequence[SpectralGram]) -> np.ndarray:
 def kron_logdet(grams: Sequence[SpectralGram]) -> float:
     """log|S_1 x ... x S_K| = sum_k (n / n_k) * log|S_k|."""
     n = math.prod(sg.size for sg in grams)
-    return sum(n / sg.size * float(np.sum(np.log(sg.eigvals))) for sg in grams)
+    return sum(n / sg.size * float(np.log(sg.eigvals).sum()) for sg in grams)
 
 
 def kron_quad(t: np.ndarray, grams: Sequence[SpectralGram]) -> float:

@@ -26,11 +26,13 @@ formats share one record validator, which reports the first fault in file
 order (``line N`` or ``record N``).
 
 Model files are JSON with a format/version tag and hold only what prediction
-reads: the factors, the final E-step target and tau*; a file whose dims,
-factor rows, target shape and mask length disagree, or whose mask holds an
-entry other than 0 or 1, is rejected.  A loaded model rebuilds its Gram
-matrices deterministically from the stored factors, so predictions from a
-round-tripped model are bit-identical to the original's.
+reads: the factors, the final E-step target and tau*.  They are written in
+pieces, each from ``json.dumps``: the small keys whole, the target tensor and
+the mask a block at a time, with the bytes ``json.dump`` would give.  A file
+whose dims, factor rows, target shape and mask length disagree, or whose mask
+holds an entry other than 0 or 1, is rejected.  A loaded model rebuilds its
+Gram matrices deterministically from the stored factors, so predictions from
+a round-tripped model are bit-identical to the original's.
 
 Run configuration files are flat ``key = value`` text with ``#`` comments;
 unknown keys are rejected.
@@ -55,7 +57,8 @@ MODEL_VERSION = 2
 
 _TEXT_MAGIC = "tensor"
 _BINARY_MAGIC = b"tensorbin"
-# Rows per formatted write and per tokenized read of a text file.
+# Rows per formatted write and per tokenized read of a text file, and about
+# the entries per write of a model file's target tensor and mask.
 _BLOCK_ROWS = 4096
 
 
@@ -337,28 +340,44 @@ def _config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(**d)
 
 
+def _write_json_list(fh, a: np.ndarray) -> None:
+    """Write ``json.dumps(a.tolist())`` a block of first-axis slices at a time.
+
+    A block is one slice, or as many slices as make up about _BLOCK_ROWS
+    entries, so a 1-D array goes _BLOCK_ROWS entries per write.
+    """
+    step = max(1, _BLOCK_ROWS * len(a) // max(a.size, 1))
+    fh.write("[")
+    for lo in range(0, len(a), step):
+        fh.write((", " if lo else "") + json.dumps(a[lo : lo + step].tolist())[1:-1])
+    fh.write("]")
+
+
 def save_model(path, model: FittedModel) -> None:
+    """Write the model file: the bytes of ``json.dump(payload)`` and a newline.
+
+    The small keys go through ``json.dumps``; the target tensor and the mask
+    are written a block at a time, so no whole-document string is built.
+    """
     state = model.state
-    payload = {
+    head = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "config": _config_to_dict(model.config),
         "dims": list(model.dims),
         "factors": [u.tolist() for u in model.factors],
-        "state": {
-            "ez": state.ez.tolist(),
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "tau": state.tau,
-        },
-        "tau_star": model.tau_star,
-        "objective_trace": model.objective_trace,
-        "mask": None if model.mask is None else model.mask.ravel().astype(int).tolist(),
-        "mstep_warnings": model.mstep_warnings,
     }
+    state_tail = {"beta1": state.beta1, "beta2": state.beta2, "tau": state.tau}
+    tail = {"tau_star": model.tau_star, "objective_trace": model.objective_trace}
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(head)[:-1] + ', "state": {"ez": ')
+        _write_json_list(fh, state.ez)
+        fh.write(", " + json.dumps(state_tail)[1:] + ", " + json.dumps(tail)[1:-1] + ', "mask": ')
+        if model.mask is None:
+            fh.write("null")
+        else:
+            _write_json_list(fh, model.mask.ravel().astype(int))
+        fh.write(", " + json.dumps({"mstep_warnings": model.mstep_warnings})[1:] + "\n")
 
 
 def load_model(path) -> FittedModel:

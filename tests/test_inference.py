@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import rel_err
-from tensorgp import inference, oracle
+from tensorgp import inference, kernels, oracle
 from tensorgp.errors import ShapeError
 from tensorgp.inference import (
     FittedModel,
@@ -431,15 +433,21 @@ class TestMStepSpectralCache:
                 np.testing.assert_array_equal(got, want)
 
     def test_gradient_builds_no_grams(self, rng, monkeypatch):
-        # Each value call builds the K candidate Grams once; every gradient
-        # call, the solver's final one included, reads them from the cache.
+        # Each value call builds the K candidate Grams once, evaluating each
+        # kernel once; every gradient call, the solver's final one included,
+        # reads the Grams and their kernels from the cache.
         factors, state, config = _mstep_case(rng, "gaussian", "t_process")
-        counts = {"gram": 0, "fun": 0, "grad": 0}
+        counts = {"gram": 0, "kernel": 0, "fun": 0, "grad": 0}
         real_gram, real_minimize = inference.gram_matrix, inference.minimize_l1
+        real_kernel = kernels.kernel_matrix
 
         def counting_gram(*args, **kwargs):
             counts["gram"] += 1
             return real_gram(*args, **kwargs)
+
+        def counting_kernel(*args, **kwargs):
+            counts["kernel"] += 1
+            return real_kernel(*args, **kwargs)
 
         def counting_minimize(fun, grad, x0, **kwargs):
             def value(x):
@@ -453,11 +461,13 @@ class TestMStepSpectralCache:
             return real_minimize(value, gradient, x0, **kwargs)
 
         monkeypatch.setattr(inference, "gram_matrix", counting_gram)
+        monkeypatch.setattr(kernels, "kernel_matrix", counting_kernel)
         monkeypatch.setattr(inference, "minimize_l1", counting_minimize)
         _, res = optimize_factors(factors, state, config)
         assert not res.line_search_failed
         assert counts["grad"] >= 3
         assert counts["gram"] == len(factors) * counts["fun"]
+        assert counts["kernel"] == len(factors) * counts["fun"]
 
 
 class TestFit:
@@ -544,6 +554,28 @@ class TestFit:
     def test_rejects_iteration_caps_that_run_nothing(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"l1_lambda": math.nan}, "l1_lambda"),
+            ({"l1_lambda": math.inf}, "l1_lambda"),
+            ({"l1_lambda": -0.1}, "l1_lambda"),
+            ({"nu": math.inf, "process": "t_process"}, "nu"),
+            ({"nu": math.nan, "process": "t_process"}, "nu"),
+            ({"nu": math.inf}, "nu"),
+            ({"gaussian_sigma": math.inf}, "gaussian_sigma"),
+            ({"gaussian_sigma": math.nan}, "gaussian_sigma"),
+            ({"em_rel_tol": -1.0}, "em_rel_tol"),
+            ({"em_rel_tol": math.nan}, "em_rel_tol"),
+        ],
+    )
+    def test_rejects_non_finite_or_negative_settings(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**kwargs)
+
+    def test_zero_em_rel_tol_is_valid(self):
+        assert ModelConfig(em_rel_tol=0.0).em_rel_tol == 0.0
 
     def test_rho_is_the_latent_noise_scale(self):
         assert ModelConfig(noise="probit", gaussian_sigma=0.3).rho == 1.0

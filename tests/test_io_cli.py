@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tensorgp
+from tensorgp import tensorio
 from tensorgp.cli import main
 from tensorgp.errors import ConfigError, ModelFormatError, TensorFormatError
 from tensorgp.evaluate import ExperimentSpec, random_mask
@@ -351,6 +352,37 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert loaded.state.mu is None and loaded.state.ups_diag is None
 
+    @pytest.mark.parametrize("block", [BLOCK, 3])
+    @pytest.mark.parametrize("dims", [(7,), (4, 3, 5)])
+    @pytest.mark.parametrize("with_mask", [True, False])
+    def test_file_bytes_are_one_json_dump(self, rng, tmp_path, monkeypatch, block, dims, with_mask):
+        # Written in pieces, a block at a time, the file is still byte for
+        # byte the whole payload through json.dumps.
+        mask = random_mask(dims, 0.3, rng)
+        config = ModelConfig(noise="probit", process="t_process", rank=2,
+                             kernel=KernelSpec("gaussian", 0.4), max_em_iters=3, seed=5)
+        model = fit((rng.random(dims) < 0.5).astype(float), mask, config)
+        if not with_mask:
+            model.mask = None
+        state = model.state
+        payload = {
+            "format": "tensorgp-model",
+            "version": 2,
+            "config": tensorio._config_to_dict(config),
+            "dims": list(dims),
+            "factors": [u.tolist() for u in model.factors],
+            "state": {"ez": state.ez.tolist(), "beta1": state.beta1, "beta2": state.beta2,
+                      "tau": state.tau},
+            "tau_star": model.tau_star,
+            "objective_trace": model.objective_trace,
+            "mask": None if model.mask is None else model.mask.ravel().astype(int).tolist(),
+            "mstep_warnings": model.mstep_warnings,
+        }
+        monkeypatch.setattr(tensorio, "_BLOCK_ROWS", block)
+        path = tmp_path / "m.json"
+        save_model(path, model)
+        assert path.read_text() == json.dumps(payload) + "\n"
+
     def test_version_1_file_loads_bit_identically(self, rng, tmp_path):
         model = self._fitted(rng)
         path = tmp_path / "m.json"
@@ -620,12 +652,20 @@ class TestCli:
         assert out.read_bytes() == b""
         assert "wrote 0 predictions" in capsys.readouterr().out
 
-    def test_import_leaves_scipy_stats_out(self):
+    @staticmethod
+    def _loaded_by_import(module):
         src = str(Path(tensorgp.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, tensorgp; print('scipy.stats' in sys.modules)"
+        code = f"import sys, tensorgp; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.stdout.strip() == "False", proc.stderr
+        assert proc.stdout.strip() in ("True", "False"), proc.stderr
+        return proc.stdout.strip() == "True"
+
+    def test_import_leaves_scipy_stats_out(self):
+        assert not self._loaded_by_import("scipy.stats")
+
+    def test_import_leaves_scipy_spatial_out(self):
+        assert not self._loaded_by_import("scipy.spatial")
 
     def test_predict_from_index_file(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -664,6 +704,20 @@ class TestCli:
         bad_cfg.write_text("unknown_knob = 3\n")
         assert main(["eval", "--config", str(bad_cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, name", [("l1_lambda = nan", "l1_lambda"), ("em_rel_tol = -1", "em_rel_tol")]
+    )
+    def test_fit_with_bad_setting_is_a_config_error(self, tmp_path, capsys, line, name):
+        cfg = self._write_config(tmp_path)
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        cfg.write_text(cfg.read_text().replace("l1_lambda = 0.1\n", "") + line + "\n")
+        capsys.readouterr()
+        assert main(["fit", "--data", str(tmp_path / "s_y.tensor"), "--config", str(cfg),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_fit_with_zero_em_cycles_is_a_config_error(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from conftest import rel_err
 from tensorgp.kernels import (
@@ -40,6 +41,18 @@ class TestKernelEval:
             vals = kernel_matrix(KernelSpec(family, 0.9), rows)[0]
             assert all(a > b for a, b in zip(vals, vals[1:]))
             assert all(0.0 < v <= 1.0 for v in vals)
+
+    @pytest.mark.parametrize("rank", range(1, 13))
+    def test_distances_match_cdist_bitwise(self, rng, rank):
+        # Column-order summation reproduces cdist bit for bit; a pairwise sum
+        # (numpy's sum over 8 or more columns) would not.
+        for n in (1, 2, 7, 31, 60):
+            rows = rng.normal(size=(n, rank)) * rng.uniform(0.01, 100.0)
+            for family, metric in (("gaussian", "sqeuclidean"), ("exponential", "euclidean")):
+                spec = KernelSpec(family, 0.37)
+                want = np.exp(-spec.gamma * cdist(rows, rows, metric=metric))
+                np.fill_diagonal(want, 1.0)
+                np.testing.assert_array_equal(kernel_matrix(spec, rows), want)
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
@@ -95,6 +108,20 @@ class TestGramMatrix:
         assert sg.jitter_applied == 1e-4
         assert sg.gram[0, 0] == pytest.approx(1.0 + 1e-4)
 
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "linear"])
+    def test_frozen_jitter_is_raw_plus_scaled_identity(self, rng, family):
+        spec = KernelSpec(family, 0.45)
+        rows = rng.normal(size=(9, 3))
+        j = 3.7e-6
+        sg = gram_matrix(spec, rows, jitter=j)
+        raw = kernel_matrix(spec, rows)
+        want = raw + j * np.eye(9)
+        vals, vecs = np.linalg.eigh(want)
+        np.testing.assert_array_equal(sg.kernel, raw)
+        np.testing.assert_array_equal(sg.gram, want)
+        np.testing.assert_array_equal(sg.eigvecs, vecs)
+        np.testing.assert_array_equal(sg.eigvals, np.maximum(vals, EIGENVALUE_FLOOR))
+
 
 class TestGramGradientContract:
     """The adjoint of rows -> K(rows) against finite differences."""
@@ -105,7 +132,7 @@ class TestGramGradientContract:
         rows = rng.normal(size=(4, 2)) * 2.0  # well-separated rows
         w = rng.normal(size=(4, 4))
         w = 0.5 * (w + w.T)
-        analytic = gram_gradient_contract(spec, rows, w)
+        analytic = gram_gradient_contract(spec, rows, w, kernel_matrix(spec, rows))
         eps = 1e-6
         fd = np.zeros_like(rows)
         for i in range(rows.shape[0]):
@@ -118,3 +145,26 @@ class TestGramGradientContract:
                     - np.sum(w * kernel_matrix(spec, dn))
                 ) / (2 * eps)
         assert rel_err(analytic, fd) <= 1e-6
+
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "linear"])
+    def test_stored_kernel_is_bitwise_a_fresh_one(self, rng, family):
+        spec = KernelSpec(family, 0.6)
+        rows = rng.normal(size=(7, 3))
+        rows[4] = rows[1]  # coincident rows take the exponential family's zero subgradient
+        w = rng.normal(size=(7, 7))
+        w = 0.5 * (w + w.T)
+        stored = gram_matrix(spec, rows, jitter=1e-6).kernel
+        got = gram_gradient_contract(spec, rows, w, stored)
+        np.testing.assert_array_equal(got, gram_gradient_contract(spec, rows, w, kernel_matrix(spec, rows)))
+        # The same bits as the adjoint that rebuilt the kernel and took cdist distances.
+        if family == "linear":
+            want = 2.0 * w @ rows
+        elif family == "gaussian":
+            t = w * np.exp(-spec.gamma * cdist(rows, rows, metric="sqeuclidean"))
+            want = -4.0 * spec.gamma * (t.sum(axis=1)[:, None] * rows - t @ rows)
+        else:
+            dist = cdist(rows, rows, metric="euclidean")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(dist > 0, w * np.exp(-spec.gamma * dist) / dist, 0.0)
+            want = -2.0 * spec.gamma * (t.sum(axis=1)[:, None] * rows - t @ rows)
+        np.testing.assert_array_equal(got, want)
