@@ -49,6 +49,7 @@ from .prediction import (
     predict_batch,
     predict_gaussian,
     predict_probit,
+    predictive_grids,
     predictive_moments,
 )
 from .tensorio import load_model, parse_config, read_tensor, save_model, write_tensor

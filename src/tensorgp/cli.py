@@ -1,8 +1,8 @@
 """Command-line interface: fit, predict, eval, synth.
 
 Exit codes: 0 success, 1 usage/configuration/file errors, 2 numerical
-failures.  ``--seed`` overrides the config seed everywhere so a run is fully
-determined by its flags plus config file.
+failures.  ``--seed`` overrides the config seed of ``fit``, ``eval`` and
+``synth``, so a run is fully determined by its flags plus config file.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--indices", required=True, help="an index file, or 'all-missing'")
     p_pred.add_argument("--out", required=True)
-    p_pred.add_argument("--seed", type=int, default=None)
 
     p_eval = sub.add_parser("eval", help="run the cross-validation experiment protocol")
     p_eval.add_argument("--config", required=True)
@@ -113,17 +112,16 @@ def _cmd_predict(args) -> int:
         indices = np.stack(np.unravel_index(flat, dims), axis=1) + 1
     else:
         indices = tensorio.read_indices(args.indices, dims)
-    moments = prediction.predict_batch(model, indices)
-    mean = np.array([m.mean for m in moments])
-    variance = np.array([m.variance for m in moments])
+        flat = np.ravel_multi_index(tuple(indices.T - 1), dims)
+    mean, variance = (grid.ravel()[flat] for grid in prediction.predictive_grids(model))
     if model.config.noise == "probit":
         values = [prediction.std_normal_cdf(mean / np.sqrt(variance))]
     else:
         values = [mean, variance]
-    columns = [*np.reshape(indices, (len(moments), len(dims))).T, *values]
+    fmt = "%d " * len(dims) + " ".join(["%.17g"] * len(values))
     with open(args.out, "w") as fh:
-        tensorio._write_rows(fh, columns, "%d " * len(dims) + " ".join(["%.17g"] * len(values)))
-    print(f"predict: wrote {len(moments)} predictions to {args.out}")
+        tensorio._write_rows(fh, [*indices.T, *values], fmt)
+    print(f"predict: wrote {len(flat)} predictions to {args.out}")
     return 0
 
 

@@ -23,7 +23,7 @@ from .distributions import (
 from .errors import ShapeError
 from .inference import ModelConfig, fit, init_factors
 from .kernels import KernelSpec, gram_matrix
-from .prediction import predict_batch
+from .prediction import predictive_grids
 
 GENERATORS = ("gp_latent", "t_latent", "rank1", "file")
 
@@ -62,6 +62,14 @@ class ExperimentSpec:
             raise ValueError("holdout_fraction must lie in (0, 1)")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
+        for name in ("dims", "gamma_grid", "lambda_grid", "rank_grid"):
+            if not len(getattr(self, name)):
+                raise ValueError(f"{name} must not be empty")
+        counts = {"dims": self.dims, "rank_grid": self.rank_grid,
+                  "gen_rank": [self.gen_rank], "repeats": [self.repeats]}
+        for name, values in counts.items():
+            if min(values) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def random_mask(
@@ -250,10 +258,7 @@ def _fit_and_score(
     config: ModelConfig,
     metric_name: str,
 ) -> float:
-    model = fit(y, train_mask, config)
-    test_idx = np.stack(np.unravel_index(np.flatnonzero(test_mask.ravel()), y.shape), axis=1) + 1
-    moments = predict_batch(model, test_idx)
-    preds = np.array([m.mean for m in moments])
+    preds = predictive_grids(fit(y, train_mask, config))[0][test_mask]
     actual = y[test_mask]
     if metric_name == "auc":
         return auc(preds, actual.astype(int))

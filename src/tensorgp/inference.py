@@ -67,15 +67,15 @@ PROCESSES = ("gaussian_process", "t_process")
 class ModelConfig:
     """Everything a fit needs besides the data itself.
 
-    ``rank`` and ``kernel`` may be given per mode (lists) or once (broadcast
-    across modes when the data order is known).
+    ``rank`` may be given per mode (a list) or once (broadcast across modes
+    when the data order is known); every mode shares the one ``kernel``.
     """
 
     noise: str = "gaussian"
     process: str = "gaussian_process"
     nu: float = 10.0
     rank: int | list[int] = 3
-    kernel: KernelSpec | list[KernelSpec] = KernelSpec("gaussian", 0.5)
+    kernel: KernelSpec = KernelSpec("gaussian", 0.5)
     l1_lambda: float = 1.0
     gaussian_sigma: float = 1.0
     max_em_iters: int = 200
@@ -103,6 +103,9 @@ class ModelConfig:
             raise ValueError("max_em_iters must be at least 1")
         if self.mstep_max_iters < 0:
             raise ValueError("mstep_max_iters must be nonnegative")
+        ranks = [self.rank] if isinstance(self.rank, int) else self.rank
+        if not all(r >= 1 for r in ranks):
+            raise ValueError(f"rank must be at least 1, got {self.rank}")
 
     @property
     def rho(self) -> float:
@@ -115,13 +118,6 @@ class ModelConfig:
         if len(self.rank) != order:
             raise ShapeError(f"{len(self.rank)} ranks for an order-{order} tensor")
         return list(self.rank)
-
-    def kernels(self, order: int) -> list[KernelSpec]:
-        if isinstance(self.kernel, KernelSpec):
-            return [self.kernel] * order
-        if len(self.kernel) != order:
-            raise ShapeError(f"{len(self.kernel)} kernels for an order-{order} tensor")
-        return list(self.kernel)
 
 
 @dataclass
@@ -159,9 +155,9 @@ class FittedModel:
     objective_trace: list[float] = field(default_factory=list)
     mask: np.ndarray | None = None
     mstep_warnings: int = 0
-    # Predictive (mean, variance) grids per resolved rho; filled and read only
-    # by :mod:`.prediction`, never saved, and holding no reference back here.
-    _predictive_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Predictive (mean, variance) grids at config.rho; filled and read only by
+    # :mod:`.prediction`, never saved, and holding no reference back here.
+    _predictive_grids: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -241,14 +237,14 @@ def e_step_eta(
 
 
 def _candidate_grams(
-    factors: Sequence[np.ndarray], state: VariationalState, specs: Sequence[KernelSpec]
+    factors: Sequence[np.ndarray], state: VariationalState, spec: KernelSpec
 ) -> list[SpectralGram]:
     """Grams at a candidate factor point, jitter frozen from the E-step."""
     if state.basis is None:
         raise ValueError("variational state carries no eigenbasis; run an E-step first")
     return [
         gram_matrix(spec, u, jitter=base.jitter_applied)
-        for spec, u, base in zip(specs, factors, state.basis)
+        for u, base in zip(factors, state.basis)
     ]
 
 
@@ -274,11 +270,11 @@ class _SpectralPoint:
 def _spectral_point(
     factors: Sequence[np.ndarray],
     state: VariationalState,
-    specs: Sequence[KernelSpec],
+    spec: KernelSpec,
     grams: Sequence[SpectralGram] | None = None,
 ) -> _SpectralPoint:
     if grams is None:
-        grams = _candidate_grams(factors, state, specs)
+        grams = _candidate_grams(factors, state, spec)
     changes = [new.eigvecs.T @ old.eigvecs for new, old in zip(grams, state.basis)]
     return _SpectralPoint(
         list(factors),
@@ -304,8 +300,7 @@ def _m_step_smooth(
     config: ModelConfig,
     new_grams: Sequence[SpectralGram] | None = None,
 ) -> float:
-    specs = config.kernels(len(factors))
-    return _smooth_at(_spectral_point(factors, state, specs, new_grams), state)
+    return _smooth_at(_spectral_point(factors, state, config.kernel, new_grams), state)
 
 
 def m_step_objective(
@@ -318,16 +313,14 @@ def m_step_objective(
 
 
 def _gradient_at(
-    point: _SpectralPoint, state: VariationalState, specs: Sequence[KernelSpec]
+    point: _SpectralPoint, state: VariationalState, spec: KernelSpec
 ) -> list[np.ndarray]:
     from .kernels import gram_gradient_contract
 
     n = state.mu.size
     m_scaled = point.m_eig / kron_eigvals(point.grams)
     grads = []
-    for k, (spec, u, new, a_k) in enumerate(
-        zip(specs, point.factors, point.grams, point.basis_changes)
-    ):
+    for k, (u, new, a_k) in enumerate(zip(point.factors, point.grams, point.basis_changes)):
         inv = 1.0 / new.eigvals
         c_k = mode_gram(m_scaled, point.m_eig, k) * inv
         s_vec = contract_except(state.ups_diag, point.w_diags, k)
@@ -359,8 +352,7 @@ def m_step_gradient(
     kernel adjoint then turns G_k into the factor-entry gradient without
     touching any Kronecker matrix.
     """
-    specs = config.kernels(len(factors))
-    return _gradient_at(_spectral_point(factors, state, specs), state, specs)
+    return _gradient_at(_spectral_point(factors, state, config.kernel), state, config.kernel)
 
 
 def optimize_factors(
@@ -380,7 +372,7 @@ def optimize_factors(
     sizes = [math.prod(s) for s in shapes]
     starts = np.cumsum([0] + sizes).tolist()
     parts = [(slice(a, a + size), shape) for a, size, shape in zip(starts, sizes, shapes)]
-    specs = config.kernels(len(initial))
+    spec = config.kernel
     cache: dict[bytes, _SpectralPoint] = {}
 
     def unpack(x: np.ndarray) -> list[np.ndarray]:
@@ -391,7 +383,7 @@ def optimize_factors(
         if key not in cache:
             cache.clear()
             # A private copy, so a caller reusing x cannot alter the entry.
-            cache[key] = _spectral_point(unpack(x.copy()), state, specs)
+            cache[key] = _spectral_point(unpack(x.copy()), state, spec)
         return cache[key]
 
     def fun(x: np.ndarray) -> float:
@@ -400,18 +392,12 @@ def optimize_factors(
     def grad(x: np.ndarray) -> np.ndarray:
         point = point_at(x)
         if point.grad is None:
-            point.grad = np.concatenate([g.ravel() for g in _gradient_at(point, state, specs)])
+            point.grad = np.concatenate([g.ravel() for g in _gradient_at(point, state, spec)])
         return point.grad.copy()
 
     x0 = np.concatenate([np.asarray(u, dtype=np.float64).ravel() for u in initial])
     res = minimize_l1(
-        fun,
-        grad,
-        x0,
-        l1_weight=config.l1_lambda,
-        max_iter=config.mstep_max_iters,
-        history=10,
-        gtol=gtol,
+        fun, grad, x0, l1_weight=config.l1_lambda, max_iter=config.mstep_max_iters, gtol=gtol
     )
     if res.line_search_failed:
         logger.warning("M-step line search stalled; keeping best iterate")
@@ -513,12 +499,7 @@ def init_factors(
     ]
 
 
-def fit(
-    y: np.ndarray,
-    mask: np.ndarray,
-    config: ModelConfig,
-    rng: np.random.Generator | None = None,
-) -> FittedModel:
+def fit(y: np.ndarray, mask: np.ndarray, config: ModelConfig) -> FittedModel:
     """Run variational EM to convergence and return the fitted model."""
     y = np.asarray(y, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -527,13 +508,8 @@ def fit(
     if not mask.any():
         raise ValueError("observation mask is empty; nothing to fit")
 
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     dims = y.shape
-    order = y.ndim
-    ranks = config.ranks(order)
-    specs = config.kernels(order)
-    factors = init_factors(dims, ranks, rng)
+    factors = init_factors(dims, config.ranks(y.ndim), np.random.default_rng(config.seed))
 
     mu = np.zeros(dims)
     tau = 1.0
@@ -545,7 +521,7 @@ def fit(
 
     for it in range(config.max_em_iters):
         if grams is None:
-            grams = [gram_matrix(spec, u) for spec, u in zip(specs, factors)]
+            grams = [gram_matrix(config.kernel, u) for u in factors]
 
         zbar_loc = mu
         if config.noise == "probit":
@@ -569,7 +545,7 @@ def fit(
         factors, opt = optimize_factors(factors, state, config)
         warnings += int(opt.line_search_failed)
 
-        grams = [gram_matrix(spec, u) for spec, u in zip(specs, factors)]
+        grams = [gram_matrix(config.kernel, u) for u in factors]
         obj = tracked_objective(y, mask, config, factors, grams, state)
         if not np.isfinite(obj):
             raise NumericalError(f"EM iteration {it}: tracked objective is {obj}")

@@ -19,6 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ARMIJO_C1 = 1e-4
+# Curvature pairs kept by L-BFGS, and the relative objective change that ends a run.
+HISTORY = 10
+FTOL = 1e-12
 BACKTRACK_FACTOR = 0.5
 MAX_LINE_SEARCH = 60
 CURVATURE_EPS = 1e-12
@@ -70,9 +73,7 @@ def minimize_l1(
     x0: np.ndarray,
     l1_weight: float = 0.0,
     max_iter: int = 100,
-    history: int = 10,
     gtol: float = 1e-6,
-    ftol: float = 1e-12,
 ) -> OptimResult:
     """Minimize fun(x) + l1_weight * ||x||_1 starting from x0.
 
@@ -90,7 +91,7 @@ def minimize_l1(
     f_smooth = float(fun(x))
     f = composite(x, f_smooth)
     g = np.asarray(grad(x), dtype=np.float64)
-    memory: deque = deque(maxlen=history)
+    memory: deque = deque(maxlen=HISTORY)
     trace = [f]
     best_x, best_f = x.copy(), f
     converged = False
@@ -141,7 +142,7 @@ def minimize_l1(
         trace.append(f)
         if f < best_f:
             best_x, best_f = x.copy(), f
-        if abs(f_prev - f) <= ftol * max(1.0, abs(f_prev)):
+        if abs(f_prev - f) <= FTOL * max(1.0, abs(f_prev)):
             converged = True
             break
     else:

@@ -121,11 +121,8 @@ def dense_objective_and_gradient(
     n = int(np.prod(dims))
     if n > MAX_GRADIENT_N:
         raise OracleSizeError(f"dense gradient for n={n} exceeds cap {MAX_GRADIENT_N}")
-    specs = config.kernels(len(factors))
-    grams = [
-        kernel_matrix(spec, u) + j * np.eye(u.shape[0])
-        for spec, u, j in zip(specs, factors, jitters)
-    ]
+    spec = config.kernel
+    grams = [kernel_matrix(spec, u) + j * np.eye(u.shape[0]) for u, j in zip(factors, jitters)]
     inverses = [np.linalg.inv(g) for g in grams]
     mu = state.mu_vec
     ups = state.upsilon
@@ -140,7 +137,7 @@ def dense_objective_and_gradient(
     objective += config.l1_lambda * sum(float(np.abs(u).sum()) for u in factors)
 
     gradients = []
-    for k, (spec, u) in enumerate(zip(specs, factors)):
+    for k, u in enumerate(factors):
         nk, rk = u.shape
         grad = np.zeros((nk, rk))
         for i in range(nk):

@@ -20,12 +20,13 @@ the posterior mode of the precision mixer for the t process and exactly 1 for
 the Gaussian process.  The target is the final E-step tensor: truncated-normal
 means for probit, the imputed observation tensor for Gaussian noise.
 
-The two grids are cached on the model, keyed by the resolved rho, the first
-time a prediction needs them; every later cell costs one lookup.  Single-cell
-and batch prediction read the same grids, so they agree bit for bit.  The
-cache holds arrays only, so a model is still freed by reference counting, and
-``save_model`` does not write it.  It assumes the fitted model is not
-modified after its first prediction.
+A fitted model has one predictive distribution, at its own rho
+(``config.rho``), so :func:`predictive_grids` caches one (mean, variance)
+pair on the model the first time a prediction needs it; every later cell
+costs one lookup.  Single-cell, batch and CLI prediction read the same pair,
+so they agree bit for bit.  The cache holds arrays only, so a model is still
+freed by reference counting, and ``save_model`` does not write it.  It
+assumes the fitted model is not modified after its first prediction.
 """
 
 from __future__ import annotations
@@ -95,24 +96,20 @@ def cross_covariance(model: FittedModel, idx: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _grids(model: FittedModel, rho: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean and variance of every grid cell, cached per resolved rho."""
-    rho = model.config.rho if rho is None else float(rho)
-    cached = model._predictive_grids.get(rho)
-    if cached is None:
-        mean, latent = e_step_m(model.state.ez, model.mode_grams, model.tau_star, rho)
+def predictive_grids(model: FittedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive mean and variance of every grid cell, cached on the model."""
+    if model._predictive_grids is None:
+        mean, latent = e_step_m(model.state.ez, model.mode_grams, model.tau_star, model.config.rho)
         for k, sg in enumerate(model.mode_grams):
             latent = mode_k_product(latent, sg.eigvecs * sg.eigvecs, k)
-        cached = model._predictive_grids[rho] = (mean, 1.0 + latent)
-    return cached
+        model._predictive_grids = (mean, 1.0 + latent)
+    return model._predictive_grids
 
 
-def predictive_moments(
-    model: FittedModel, idx: Sequence[int], rho: float | None = None
-) -> PredictiveMoments:
+def predictive_moments(model: FittedModel, idx: Sequence[int]) -> PredictiveMoments:
     """Latent predictive mean and variance at one in-grid index."""
     _check_index(idx, model.dims)
-    mean, variance = _grids(model, rho)
+    mean, variance = predictive_grids(model)
     cell = tuple(i - 1 for i in idx)
     return PredictiveMoments(mean=float(mean[cell]), variance=float(variance[cell]))
 
@@ -133,10 +130,8 @@ def predict_gaussian(model: FittedModel, idx: Sequence[int]) -> tuple[float, flo
     return m.mean, m.variance
 
 
-def predict_batch(
-    model: FittedModel, indices: Iterable[Sequence[int]], rho: float | None = None
-) -> list[PredictiveMoments]:
+def predict_batch(model: FittedModel, indices: Iterable[Sequence[int]]) -> list[PredictiveMoments]:
     """Moments at many indices, read from the same grids as single-cell prediction."""
     flat = _flat_positions(indices, model.dims)
-    mean, variance = _grids(model, rho)
+    mean, variance = predictive_grids(model)
     return list(map(PredictiveMoments, mean.ravel()[flat].tolist(), variance.ravel()[flat].tolist()))

@@ -289,8 +289,11 @@ def _read_binary(fh, first_line: bytes) -> tuple[np.ndarray, np.ndarray]:
     return _grid(flat, rec["val"], dims, dense)
 
 
-def read_indices(path, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Read a file of 1-based indices, one per line; ``#`` starts a comment."""
+def read_indices(path, dims: tuple[int, ...]) -> np.ndarray:
+    """Read a file of 1-based indices, one per line; ``#`` starts a comment.
+
+    Returns an (m, K) integer array, one row per index in file order.
+    """
     out = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -310,7 +313,7 @@ def read_indices(path, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
                 if not 1 <= i <= d:
                     raise TensorFormatError(f"line {lineno}: index {i} out of range [1, {d}] in mode {k + 1}")
             out.append(idx)
-    return out
+    return np.array(out, dtype=np.intp).reshape(len(out), len(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +321,11 @@ def read_indices(path, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    d = asdict(config)
-    kernel = config.kernel
-    if isinstance(kernel, KernelSpec):
-        d["kernel"] = {"family": kernel.family, "gamma": kernel.gamma}
-    else:
-        d["kernel"] = [{"family": k.family, "gamma": k.gamma} for k in kernel]
-    return d
-
-
 def _config_from_dict(d: dict) -> ModelConfig:
     # Files written before these options were removed still carry them.
     d.pop("truncation_energy", None)
     d.pop("n_restarts", None)
-    kernel = d["kernel"]
-    if isinstance(kernel, dict):
-        d["kernel"] = KernelSpec(**kernel)
-    else:
-        d["kernel"] = [KernelSpec(**k) for k in kernel]
+    d["kernel"] = KernelSpec(**d["kernel"])
     return ModelConfig(**d)
 
 
@@ -363,7 +352,7 @@ def save_model(path, model: FittedModel) -> None:
     head = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "dims": list(model.dims),
         "factors": [u.tolist() for u in model.factors],
     }
@@ -418,8 +407,7 @@ def load_model(path) -> FittedModel:
                 bad = next(v for v in mask if v not in (0, 1))
                 raise ValueError(f"mask entry {bad!r} is not 0 or 1")
             mask = np.asarray(mask, dtype=bool).reshape(dims)
-        specs = config.kernels(len(dims))
-        grams = [gram_matrix(spec, u) for spec, u in zip(specs, factors)]
+        grams = [gram_matrix(config.kernel, u) for u in factors]
         return FittedModel(
             factors=factors,
             mode_grams=grams,

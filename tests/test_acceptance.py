@@ -121,7 +121,9 @@ def test_c1_oracle_equivalence(rng):
         state = VariationalState(
             ez=target, mu=mu, ups_diag=d, beta1=1.0, beta2=1.0, tau=tau, basis=grams
         )
-        config = ModelConfig(kernel=spec, l1_lambda=float(rng.uniform(0.0, 1.0)), rank=rank)
+        config = ModelConfig(
+            kernel=spec, l1_lambda=float(rng.uniform(0.0, 1.0)), rank=rank, gaussian_sigma=rho
+        )
         cand = [u + 0.1 * rng.normal(size=u.shape) for u in factors]
         jitters = [g.jitter_applied for g in grams]
         obj_fast = m_step_objective(cand, state, config)
@@ -138,7 +140,7 @@ def test_c1_oracle_equivalence(rng):
         )
         for _ in range(2):
             idx = tuple(int(rng.integers(1, s + 1)) for s in dims)
-            m = predictive_moments(model, idx, rho=rho)
+            m = predictive_moments(model, idx)
             from tensorgp.prediction import cross_covariance
 
             k = cross_covariance(model, idx)

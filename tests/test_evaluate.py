@@ -291,3 +291,15 @@ class TestRunExperiment:
         assert len(report.records) == 2
         for r in report.records:
             assert r.gamma in (0.2, 0.5)
+
+
+class TestExperimentSpec:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"dims": (4, 0)}, "dims"), ({"rank_grid": [2, 0]}, "rank_grid"), ({"lambda_grid": []}, "lambda_grid")],
+    )
+    def test_rejects_empty_grids_and_counts_below_one(self, kwargs, name):
+        # The CLI input sweep sets each key to one bad value; these add a bad
+        # later list entry and check that the message names the field.
+        with pytest.raises(ValueError, match=name):
+            ExperimentSpec(**kwargs)

@@ -568,6 +568,9 @@ class TestFit:
             ({"gaussian_sigma": math.nan}, "gaussian_sigma"),
             ({"em_rel_tol": -1.0}, "em_rel_tol"),
             ({"em_rel_tol": math.nan}, "em_rel_tol"),
+            ({"rank": 0}, "rank"),
+            ({"rank": -1}, "rank"),
+            ({"rank": [2, 0, 3]}, "rank"),
         ],
     )
     def test_rejects_non_finite_or_negative_settings(self, kwargs, name):

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -368,7 +371,7 @@ class TestModelSerialization:
         payload = {
             "format": "tensorgp-model",
             "version": 2,
-            "config": tensorio._config_to_dict(config),
+            "config": asdict(config),
             "dims": list(dims),
             "factors": [u.tolist() for u in model.factors],
             "state": {"ez": state.ez.tolist(), "beta1": state.beta1, "beta2": state.beta2,
@@ -422,6 +425,16 @@ class TestModelSerialization:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_per_mode_kernel_list_is_corrupt(self, rng, tmp_path):
+        # Only the Python API could write a kernel list; one kernel serves every mode.
+        path = tmp_path / "m.json"
+        save_model(path, self._fitted(rng))
+        payload = json.loads(path.read_text())
+        payload["config"]["kernel"] = [payload["config"]["kernel"]] * 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="corrupt model file"):
             load_model(path)
 
     def test_missing_field_is_corrupt(self, rng, tmp_path):
@@ -624,10 +637,10 @@ class TestCli:
         save_model(tmp_path / "m.json", fit(y, mask, config))
         model = load_model(tmp_path / "m.json")
         idx_file = tmp_path / "idx.txt"
-        idx_file.write_text("4 3 5\n1 1 1\n2 3 4\n")
+        idx_file.write_text("4 3 5\n1 1 1\n2 3 4\n1 1 1\n")
         for source, cells in [
             ("all-missing", [multi_index(j + 1, dims) for j in np.flatnonzero(~mask.ravel())]),
-            (str(idx_file), [(4, 3, 5), (1, 1, 1), (2, 3, 4)]),
+            (str(idx_file), [(4, 3, 5), (1, 1, 1), (2, 3, 4), (1, 1, 1)]),
         ]:
             expected = []
             for idx, m in zip(cells, predict_batch(model, cells)):
@@ -809,3 +822,84 @@ class TestCli:
             ["fit", "--data", str(tmp_path / "s_y.tensor"), "--config", str(cfg),
              "--out", str(tmp_path / "m.json")]
         ) == 2
+
+    def test_predict_takes_no_seed(self, tmp_path, capsys):
+        assert main(["predict", "--model", str(tmp_path / "m.json"), "--indices", "all-missing",
+                     "--out", str(tmp_path / "p.txt"), "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("gamma_grid = 0.3", "gamma_grid = 0.2 0.4")],
+            [("noise = gaussian", "noise = probit"), ("generator = rank1", "generator = gp_latent"),
+             ("dims = 4, 4", "dims = 6, 6")],
+        ],
+        ids=["gaussian_gamma_grid", "probit"],
+    )
+    def test_eval_report_bytes_match_batch_prediction(self, tmp_path, capsys, monkeypatch, edits):
+        # Reference: each fold scored through predict_batch at its test cells in row-major order.
+        from tensorgp import evaluate
+
+        def batch_score(y, train_mask, test_mask, config, metric_name):
+            model = evaluate.fit(y, train_mask, config)
+            test_idx = np.stack(np.unravel_index(np.flatnonzero(test_mask.ravel()), y.shape), axis=1) + 1
+            preds = np.array([m.mean for m in predict_batch(model, test_idx)])
+            actual = y[test_mask]
+            if metric_name == "auc":
+                return evaluate.auc(preds, actual.astype(int))
+            return evaluate.mse(preds, actual)
+
+        cfg = self._write_config(tmp_path)
+        text = cfg.read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg.write_text(text)
+        assert main(["eval", "--config", str(cfg)]) == 0
+        report = capsys.readouterr().out
+        monkeypatch.setattr(evaluate, "_fit_and_score", batch_score)
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert report == capsys.readouterr().out
+
+
+# Every numeric run-configuration key, for the input sweep below.
+NUMERIC_KEYS = sorted(key for key, kind in tensorio.CONFIG_KEYS.items() if kind is not str)
+SWEEP_CONFIG = {
+    "noise": "gaussian", "process": "t_process", "nu": "6", "rank": "2", "kernel": "gaussian",
+    "gamma": "0.3", "l1_lambda": "0.1", "gaussian_sigma": "0.2", "max_em_iters": "2",
+    "em_rel_tol": "1e-4", "mstep_max_iters": "5", "seed": "3", "dims": "4, 4",
+    "generator": "gp_latent", "holdout_fraction": "0.25", "folds": "2", "repeats": "1",
+    "latent_scale": "1", "gen_gamma": "0.3", "gen_rank": "2", "model_sigma": "0.2",
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_data(tmp_path_factory):
+    """A tiny data file drawn by ``synth`` from the sweep's base config."""
+    root = tmp_path_factory.mktemp("sweep")
+    cfg = root / "base.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SWEEP_CONFIG.items()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(cfg), "--out", str(root / "s")]) == 0
+    return root / "s_y.tensor"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", ""], ids=["zero", "minus_one", "empty"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+@pytest.mark.parametrize("command", ["fit", "synth", "eval"])
+def test_cli_input_sweep(tmp_path, capsys, sweep_data, command, key, value):
+    # A bad value exits 1 with an "error:" line and a good one exits 0; an
+    # exception escaping main is the traceback a user would see.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**SWEEP_CONFIG, key: value}.items()))
+    argv = {
+        "fit": ["fit", "--data", str(sweep_data), "--config", str(cfg), "--out", str(tmp_path / "m.json")],
+        "synth": ["synth", "--config", str(cfg), "--out", str(tmp_path / "s")],
+        "eval": ["eval", "--config", str(cfg)],
+    }[command]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert code == 0 or any(line.startswith("error:") for line in err.splitlines()), err
+    assert "Traceback" not in err
+    assert not re.search(r"\bnan\b", out), out

@@ -78,7 +78,7 @@ class TestPredictiveMoments:
         target = np.zeros((2, 2))
         target[1, 0] = 2.0
         model = _manual_model([np.eye(2), np.eye(2)], KernelSpec("linear"), target, jitter=0.0)
-        m = predictive_moments(model, (2, 1), rho=1.0)
+        m = predictive_moments(model, (2, 1))
         assert m.mean == pytest.approx(1.0, rel=1e-12)
         assert m.variance == pytest.approx(1.5, rel=1e-12)
 
@@ -86,7 +86,7 @@ class TestPredictiveMoments:
         factors = [rng.normal(size=(3, 2)) * 10.0, rng.normal(size=(3, 2)) * 10.0]
         target = rng.normal(size=(3, 3))
         model = _manual_model(factors, KernelSpec("gaussian", 50.0), target)
-        m = predictive_moments(model, (2, 2), rho=1.0)
+        m = predictive_moments(model, (2, 2))
         # k is (almost) a scaled basis vector; the mean only sees the center cell
         k_ii = model.mode_grams[0].gram[1, 1] * model.mode_grams[1].gram[1, 1]
         assert abs(m.mean - target[1, 1] * k_ii / (k_ii + 1.0)) < 1e-8
@@ -94,10 +94,10 @@ class TestPredictiveMoments:
     def test_matches_dense_oracle(self, rng):
         factors = [rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=(2, 2))]
         target = rng.normal(size=(2, 2, 2))
-        model = _manual_model(factors, KernelSpec("gaussian", 0.4), target, tau_star=1.7)
+        model = _manual_model(factors, KernelSpec("gaussian", 0.4), target, tau_star=1.7, sigma=0.8)
         sigma_p = oracle.dense_kron([g.gram for g in model.mode_grams])
         for idx in [(1, 1, 1), (2, 1, 2), (2, 2, 2)]:
-            m = predictive_moments(model, idx, rho=0.8)
+            m = predictive_moments(model, idx)
             k = cross_covariance(model, idx)
             k_ii = 1.0
             for g, i in zip(model.mode_grams, idx):
@@ -211,9 +211,9 @@ class TestBatch:
         factors = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
         model = _manual_model(factors, KernelSpec("gaussian", 0.5), rng.normal(size=(3, 4)))
         indices = [multi_index(j + 1, (3, 4)) for j in range(12)]
-        batch = predict_batch(model, indices, rho=1.0)
+        batch = predict_batch(model, indices)
         for idx, m in zip(indices, batch):
-            single = predictive_moments(model, idx, rho=1.0)
+            single = predictive_moments(model, idx)
             assert m.mean == single.mean
             assert m.variance == single.variance
 
@@ -225,19 +225,21 @@ def _every_cell(dims):
 class TestGrid:
     @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4)])
     @pytest.mark.parametrize("kernel", [KernelSpec("exponential", 0.6), KernelSpec("linear")])
-    @pytest.mark.parametrize("noise, sigma", [("gaussian", 0.4), ("probit", 1.0)])
-    @pytest.mark.parametrize("rho", [None, 0.7])
+    # rho, when given, is the model's gaussian_sigma in place of sigma; a
+    # probit model's rho is always 1.
+    @pytest.mark.parametrize(
+        "rho, noise, sigma", [(None, "gaussian", 0.4), (0.7, "gaussian", 0.4), (None, "probit", 1.0)]
+    )
     def test_every_cell_matches_dense_oracle(self, rng, dims, kernel, noise, sigma, rho):
         factors = [rng.normal(size=(n, 2)) for n in dims]
         target = rng.normal(size=dims)
-        model = _manual_model(factors, kernel, target, noise=noise, tau_star=1.6, sigma=sigma)
-        resolved = model.config.rho if rho is None else rho
+        model = _manual_model(factors, kernel, target, noise=noise, tau_star=1.6, sigma=rho or sigma)
         sigma_p = oracle.dense_kron([g.gram for g in model.mode_grams])
         cells = _every_cell(dims)
-        for idx, m in zip(cells, predict_batch(model, cells, rho=rho)):
+        for idx, m in zip(cells, predict_batch(model, cells)):
             j = np.ravel_multi_index(np.subtract(idx, 1), dims)
             mean, var = oracle.dense_predictive_moments(
-                sigma_p[j], sigma_p[j, j], sigma_p, target.ravel(), 1.6, resolved
+                sigma_p[j], sigma_p[j, j], sigma_p, target.ravel(), 1.6, model.config.rho
             )
             assert rel_err(m.mean, mean) <= 1e-8
             assert rel_err(m.variance, var) <= 1e-8
@@ -265,23 +267,6 @@ class TestGrid:
         predict_batch(model, _every_cell((3, 3)))
         assert len(calls) == 1
         assert (again.mean, again.variance) == (first.mean, first.variance)
-
-    def test_explicit_rho_gets_its_own_entry(self, rng, monkeypatch):
-        calls = self._counted(monkeypatch)
-        factors = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
-        target = rng.normal(size=(3, 4))
-        model = _manual_model(factors, KernelSpec("gaussian", 0.5), target, sigma=0.3)
-        default = predictive_moments(model, (2, 3))
-        explicit = predictive_moments(model, (2, 3), rho=1.5)
-        assert len(calls) == 2
-        assert explicit.variance != default.variance
-        # Each entry still answers for its own rho, in either order.
-        assert predictive_moments(model, (2, 3)) == default
-        assert predictive_moments(model, (2, 3), rho=1.5) == explicit
-        assert predictive_moments(model, (2, 3), rho=0.3) == default  # the resolved default
-        assert len(calls) == 2
-        fresh = _manual_model(factors, KernelSpec("gaussian", 0.5), target, sigma=0.3)
-        assert predictive_moments(fresh, (2, 3), rho=1.5) == explicit
 
     def test_model_freed_by_refcount(self):
         import gc
