@@ -95,10 +95,13 @@ def _cmd_fit(args) -> int:
     if args.oracle:
         _oracle_check(model, y)
     tensorio.save_model(args.out, model)
-    print(
-        f"fit: {len(model.objective_trace)} EM iterations, "
-        f"objective {model.objective_trace[-1]!r}, model written to {args.out}"
-    )
+    trace = model.objective_trace
+    if model.converged:
+        status = f"converged after {len(trace)} EM cycles"
+    else:
+        change = abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2])) if len(trace) > 1 else float("nan")
+        status = f"stopped at max_em_iters = {len(trace)}, last relative change {change:.3g}"
+    print(f"fit: {status}, objective {trace[-1]!r}, model written to {args.out}")
     return 0
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +61,8 @@ logger = logging.getLogger(__name__)
 
 NOISE_MODELS = ("probit", "gaussian")
 PROCESSES = ("gaussian_process", "t_process")
+# Largest pseudo-gradient entry at which an M-step counts as converged.
+MSTEP_GTOL = 1e-6
 
 
 @dataclass
@@ -88,6 +90,8 @@ class ModelConfig:
             raise ValueError(f"unknown noise model {self.noise!r}")
         if self.process not in PROCESSES:
             raise ValueError(f"unknown process {self.process!r}")
+        if not isinstance(self.kernel, KernelSpec):
+            raise ValueError(f"kernel must be one KernelSpec, got {type(self.kernel).__name__}")
         if not math.isfinite(self.nu):
             raise ValueError("nu must be finite")
         # Every comparison with NaN is False, so the range checks reject NaN.
@@ -131,11 +135,11 @@ class VariationalState:
     ``basis`` (the Grams the E-step ran with); ``zbar_loc`` is the location
     parameter the probit q(Z) was built from (needed for its entropy).
 
-    On a model loaded from file, ``mu``, ``ups_diag``, ``basis`` and
-    ``zbar_loc`` are None: prediction reads none of them.
+    ``mu``, ``ups_diag``, ``basis`` and ``zbar_loc`` are None on a model loaded from file
+    (prediction reads none of them); in :func:`fit`'s start state ``ez`` is None, not ``mu``.
     """
 
-    ez: np.ndarray
+    ez: np.ndarray | None
     mu: np.ndarray | None
     ups_diag: np.ndarray | None
     beta1: float
@@ -162,6 +166,12 @@ class FittedModel:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(g.size for g in self.mode_grams)
+
+    @property
+    def converged(self) -> bool:
+        """The EM stop rule: the last cycle's change is at most em_rel_tol * max(1, |previous|)."""
+        trace, rel_tol = self.objective_trace, self.config.em_rel_tol
+        return len(trace) > 1 and abs(trace[-2] - trace[-1]) <= rel_tol * max(1.0, abs(trace[-2]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +369,6 @@ def optimize_factors(
     initial: Sequence[np.ndarray],
     state: VariationalState,
     config: ModelConfig,
-    gtol: float = 1e-6,
 ) -> tuple[list[np.ndarray], OptimResult]:
     """Run the l1 quasi-Newton step on the flattened factor entries.
 
@@ -397,7 +406,7 @@ def optimize_factors(
 
     x0 = np.concatenate([np.asarray(u, dtype=np.float64).ravel() for u in initial])
     res = minimize_l1(
-        fun, grad, x0, l1_weight=config.l1_lambda, max_iter=config.mstep_max_iters, gtol=gtol
+        fun, grad, x0, l1_weight=config.l1_lambda, max_iter=config.mstep_max_iters, gtol=MSTEP_GTOL
     )
     if res.line_search_failed:
         logger.warning("M-step line search stalled; keeping best iterate")
@@ -422,21 +431,15 @@ def _truncnorm_entropies(loc: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.5 * (LOG_2PI + 1.0) + log_phi - 0.5 * sl * hazard
 
 
-def tracked_objective(
-    y: np.ndarray,
-    mask: np.ndarray,
-    config: ModelConfig,
-    factors: Sequence[np.ndarray],
-    grams: Sequence[SpectralGram],
-    state: VariationalState,
-) -> float:
-    """Negative variational free energy at the current (q, U).
+def tracked_objective(y: np.ndarray, model: FittedModel) -> float:
+    """Negative variational free energy at the model's current (q, U).
 
     Every E-step update is an exact coordinate minimizer of this quantity and
     the M-step minimizes twice its U-dependent part, so it is non-increasing
     across full EM cycles up to round-off.  Constants independent of both q
     and U (the Laplace prior normalizer) are dropped.
     """
+    config, mask, factors, state = model.config, model.mask, model.factors, model.state
     n = state.mu.size
     mu = state.mu
     sum_d = float(np.sum(state.ups_diag))
@@ -467,7 +470,7 @@ def tracked_objective(
         e_log_eta = 0.0
     # log-det + tau * (quad + trace); for the GP, state.tau stays 1.
     prior_m = 0.5 * n * LOG_2PI - 0.5 * n * e_log_eta
-    prior_m += 0.5 * _m_step_smooth(factors, state, config, new_grams=grams)
+    prior_m += 0.5 * _m_step_smooth(factors, state, config, new_grams=model.mode_grams)
     neg_entropy_m = -0.5 * n * (LOG_2PI + 1.0) - 0.5 * sum_log_d
 
     total = fit_term + prior_m + neg_entropy_z + neg_entropy_m
@@ -499,8 +502,38 @@ def init_factors(
     ]
 
 
+def _e_step(y: np.ndarray, model: FittedModel) -> FittedModel:
+    """q(z) or the imputed target, then q(M), then q(eta) and tau* (t process)."""
+    config, prev, grams = model.config, model.state, model.mode_grams
+    if config.noise == "probit":
+        ez = e_step_z(prev.mu, y, model.mask)
+    else:
+        ez = np.where(model.mask, y, prev.mu)
+    mu, ups_diag = e_step_m(ez, grams, prev.tau, config.rho)
+    beta1, beta2, tau = prev.beta1, prev.beta2, prev.tau
+    if config.process == "t_process":
+        beta1, beta2, tau = e_step_eta(config.nu, mu, ups_diag, grams)
+    state = VariationalState(ez, mu, ups_diag, beta1, beta2, tau, basis=grams, zbar_loc=prev.mu)
+    tau_star = (beta1 - 1.0) / beta2 if config.process == "t_process" else 1.0
+    return replace(model, state=state, tau_star=tau_star)
+
+
+def _m_step(y: np.ndarray, model: FittedModel) -> FittedModel:
+    """New factors and Grams, the tracked objective appended to the trace."""
+    config = model.config
+    factors, opt = optimize_factors(model.factors, model.state, config)
+    grams = [gram_matrix(config.kernel, u) for u in factors]
+    warnings = model.mstep_warnings + int(opt.line_search_failed)
+    model = replace(model, factors=factors, mode_grams=grams, mstep_warnings=warnings)
+    obj = tracked_objective(y, model)
+    if not np.isfinite(obj):
+        raise NumericalError(f"EM iteration {len(model.objective_trace)}: tracked objective is {obj}")
+    model.objective_trace = [*model.objective_trace, obj]
+    return model
+
+
 def fit(y: np.ndarray, mask: np.ndarray, config: ModelConfig) -> FittedModel:
-    """Run variational EM to convergence and return the fitted model."""
+    """Run variational EM from a start model to convergence and return the fitted model."""
     y = np.asarray(y, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if y.shape != mask.shape:
@@ -508,59 +541,21 @@ def fit(y: np.ndarray, mask: np.ndarray, config: ModelConfig) -> FittedModel:
     if not mask.any():
         raise ValueError("observation mask is empty; nothing to fit")
 
-    dims = y.shape
-    factors = init_factors(dims, config.ranks(y.ndim), np.random.default_rng(config.seed))
-
-    mu = np.zeros(dims)
-    tau = 1.0
-    beta1 = beta2 = 0.5 * config.nu if config.process == "t_process" else 1.0
-    trace: list[float] = []
-    state: VariationalState | None = None
-    grams: list[SpectralGram] | None = None
-    warnings = 0
-
-    for it in range(config.max_em_iters):
-        if grams is None:
-            grams = [gram_matrix(config.kernel, u) for u in factors]
-
-        zbar_loc = mu
-        if config.noise == "probit":
-            ez = e_step_z(mu, y, mask)
-        else:
-            ez = np.where(mask, y, mu)
-        mu, ups_diag = e_step_m(ez, grams, tau, config.rho)
-        if config.process == "t_process":
-            beta1, beta2, tau = e_step_eta(config.nu, mu, ups_diag, grams)
-        state = VariationalState(
-            ez=ez,
-            mu=mu,
-            ups_diag=ups_diag,
-            beta1=beta1,
-            beta2=beta2,
-            tau=tau,
-            basis=grams,
-            zbar_loc=zbar_loc,
-        )
-
-        factors, opt = optimize_factors(factors, state, config)
-        warnings += int(opt.line_search_failed)
-
-        grams = [gram_matrix(config.kernel, u) for u in factors]
-        obj = tracked_objective(y, mask, config, factors, grams, state)
-        if not np.isfinite(obj):
-            raise NumericalError(f"EM iteration {it}: tracked objective is {obj}")
-        trace.append(obj)
-        if it > 0 and abs(trace[-2] - trace[-1]) <= config.em_rel_tol * max(1.0, abs(trace[-2])):
-            break
-
-    tau_star = (beta1 - 1.0) / beta2 if config.process == "t_process" else 1.0
-    return FittedModel(
+    factors = init_factors(y.shape, config.ranks(y.ndim), np.random.default_rng(config.seed))
+    beta = 0.5 * config.nu if config.process == "t_process" else 1.0
+    model = FittedModel(
         factors=factors,
-        mode_grams=grams,
+        mode_grams=[gram_matrix(config.kernel, u) for u in factors],
         config=config,
-        state=state,
-        tau_star=tau_star,
-        objective_trace=trace,
+        state=VariationalState(None, np.zeros(y.shape), None, beta, beta, tau=1.0),
+        tau_star=1.0,
         mask=mask.copy(),
-        mstep_warnings=warnings,
     )
+    # Two statements, not one cycle function: rebinding ``model`` between the
+    # steps frees the previous cycle's E-step arrays before the M-step runs.
+    for _ in range(config.max_em_iters):
+        model = _e_step(y, model)
+        model = _m_step(y, model)
+        if model.converged:
+            break
+    return model

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,12 +351,13 @@ class TestOptimizeFactors:
         after = m_step_objective(out, state, config)
         assert after <= before + 1e-12
 
-    def test_stationary_point_subgradient(self, rng):
+    def test_stationary_point_subgradient(self, rng, monkeypatch):
         dims = (2, 2)
         spec, factors, grams = random_instance(rng, dims)
         state, _ = _state_from_estep(rng, grams, dims)
         config = ModelConfig(kernel=spec, l1_lambda=0.3, rank=2, mstep_max_iters=500)
-        _, res = optimize_factors(factors, state, config, gtol=1e-7)
+        monkeypatch.setattr(inference, "MSTEP_GTOL", 1e-7)
+        _, res = optimize_factors(factors, state, config)
         if res.converged:
             assert res.max_pseudo_gradient <= 1e-7
 
@@ -571,6 +573,7 @@ class TestFit:
             ({"rank": 0}, "rank"),
             ({"rank": -1}, "rank"),
             ({"rank": [2, 0, 3]}, "rank"),
+            ({"kernel": [KernelSpec("gaussian", 0.3)] * 2}, "kernel"),
         ],
     )
     def test_rejects_non_finite_or_negative_settings(self, kwargs, name):
@@ -602,3 +605,56 @@ class TestFit:
         model = fit(y, mask, config)
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) <= 1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+def _small_fit_case(noise, process, **overrides):
+    rng = np.random.default_rng(21)
+    dims = (5, 4, 3)
+    y = rng.normal(size=dims)
+    if noise == "probit":
+        y = (y > 0).astype(float)
+    mask = rng.random(dims) < 0.8
+    config = ModelConfig(
+        noise=noise, process=process, nu=6.0, rank=2, kernel=KernelSpec("gaussian", 0.4),
+        l1_lambda=0.2, gaussian_sigma=0.5, mstep_max_iters=10, seed=4,
+    )
+    return y, mask, replace(config, **overrides)
+
+
+class TestEMSteps:
+    """fit is a start model mapped through _e_step then _m_step once per cycle."""
+
+    @pytest.mark.parametrize(
+        "noise, process", [("gaussian", "gaussian_process"), ("probit", "t_process")]
+    )
+    def test_one_more_cycle_resumes_the_fit(self, noise, process):
+        y, mask, config = _small_fit_case(noise, process, em_rel_tol=0.0, max_em_iters=3)
+        short = fit(y, mask, config)
+        resumed = inference._m_step(y, inference._e_step(y, short))
+        full = fit(y, mask, replace(config, max_em_iters=4))
+        for a, b in zip(resumed.factors, full.factors):
+            np.testing.assert_array_equal(a, b)
+        assert resumed.objective_trace == full.objective_trace
+        np.testing.assert_array_equal(resumed.state.mu, full.state.mu)
+        assert resumed.tau_star == full.tau_star
+        assert resumed.mstep_warnings == full.mstep_warnings
+        # The steps map a model to a new one and leave their input as it was.
+        assert len(short.objective_trace) == 3
+
+    @pytest.mark.parametrize(
+        "noise, process, em_rel_tol, max_em_iters, cycles, converged",
+        [
+            ("gaussian", "gaussian_process", 0.0, 4, 4, False),
+            ("probit", "t_process", 1e300, 10, 2, True),
+            ("gaussian", "t_process", 1e300, 1, 1, False),
+        ],
+    )
+    def test_converged_is_the_stop_rule(
+        self, noise, process, em_rel_tol, max_em_iters, cycles, converged
+    ):
+        y, mask, config = _small_fit_case(
+            noise, process, em_rel_tol=em_rel_tol, max_em_iters=max_em_iters
+        )
+        model = fit(y, mask, config)
+        assert len(model.objective_trace) == cycles
+        assert model.converged is converged

@@ -321,6 +321,14 @@ class TestModelSerialization:
         )
         return fit(y, mask, config)
 
+    @pytest.mark.parametrize("em_rel_tol", [0.0, 1e300])
+    def test_converged_survives_round_trip(self, rng, tmp_path, em_rel_tol):
+        y = rng.normal(size=(4, 3))
+        config = ModelConfig(rank=2, max_em_iters=3, em_rel_tol=em_rel_tol, seed=2)
+        model = fit(y, np.ones(y.shape, dtype=bool), config)
+        save_model(tmp_path / "m.json", model)
+        assert load_model(tmp_path / "m.json").converged == model.converged == (em_rel_tol > 0)
+
     def test_predictions_bit_identical_after_round_trip(self, rng, tmp_path):
         model = self._fitted(rng)
         path = tmp_path / "m.json"
@@ -731,6 +739,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra, status",
+        [
+            ("em_rel_tol = 1e300\n", r"converged after 2 EM cycles"),
+            ("em_rel_tol = 0\n", r"stopped at max_em_iters = 4, last relative change \d\S*"),
+        ],
+    )
+    def test_fit_says_whether_em_converged(self, tmp_path, capsys, extra, status):
+        cfg = self._write_config(tmp_path, extra)
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        capsys.readouterr()
+        out_path = tmp_path / "m.json"
+        assert main(["fit", "--data", str(tmp_path / "s_y.tensor"), "--config", str(cfg),
+                     "--out", str(out_path)]) == 0
+        objective = load_model(out_path).objective_trace[-1]
+        assert re.fullmatch(
+            f"fit: {status}, objective {re.escape(repr(objective))}, "
+            f"model written to {re.escape(str(out_path))}\n",
+            capsys.readouterr().out,
+        )
 
     def test_fit_with_zero_em_cycles_is_a_config_error(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
