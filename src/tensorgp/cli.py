@@ -13,13 +13,7 @@ import sys
 import numpy as np
 
 from . import oracle, prediction, tensorio
-from .errors import (
-    ConfigError,
-    ModelFormatError,
-    NumericalError,
-    OracleSizeError,
-    TensorFormatError,
-)
+from .errors import ConfigError, NumericalError
 from .evaluate import run_experiment, synth_generate
 from .inference import fit
 
@@ -112,10 +106,8 @@ def _cmd_predict(args) -> int:
         if model.mask is None:
             raise ConfigError("model carries no observation mask; pass an index file")
         flat = np.flatnonzero(~model.mask.ravel())
-        indices = np.stack(np.unravel_index(flat, dims), axis=1) + 1
     else:
-        indices = tensorio.read_indices(args.indices, dims)
-        flat = np.ravel_multi_index(tuple(indices.T - 1), dims)
+        flat = tensorio.read_indices(args.indices, dims)
     mean, variance = (grid.ravel()[flat] for grid in prediction.predictive_grids(model))
     if model.config.noise == "probit":
         values = [prediction.std_normal_cdf(mean / np.sqrt(variance))]
@@ -123,7 +115,7 @@ def _cmd_predict(args) -> int:
         values = [mean, variance]
     fmt = "%d " * len(dims) + " ".join(["%.17g"] * len(values))
     with open(args.out, "w") as fh:
-        tensorio._write_rows(fh, [*indices.T, *values], fmt)
+        tensorio._write_rows(fh, [*(i + 1 for i in np.unravel_index(flat, dims)), *values], fmt)
     print(f"predict: wrote {len(flat)} predictions to {args.out}")
     return 0
 
@@ -164,7 +156,7 @@ def main(argv=None) -> int:
         return 0 if err.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, TensorFormatError, ModelFormatError, OracleSizeError, FileNotFoundError, ValueError) as err:
+    except (FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NumericalError as err:

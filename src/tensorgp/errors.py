@@ -17,6 +17,14 @@ class TensorFormatError(ValueError):
     """A tensor file could not be parsed; message carries the line number."""
 
 
+class IndexRangeError(TensorFormatError, IndexError):
+    """A 1-based index lies off the grid; ``row`` is its 0-based row in the input."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class ModelFormatError(ValueError):
     """A serialized model is corrupt or has an incompatible version."""
 

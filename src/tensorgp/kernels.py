@@ -16,7 +16,6 @@ Supported families (``t`` the exponent of the distance):
 * ``exponential``  k(u, v) = exp(-gamma * ||u - v||)        (t = 1)
 * ``linear``       k(u, v) = <u, v>
 
-The linear family recovers the fully parametric special case of the model.
 gamma is a fixed hyperparameter here, selected by cross-validation in the
 evaluation harness, never optimized inside EM.
 """

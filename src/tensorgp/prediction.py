@@ -40,7 +40,7 @@ import numpy as np
 from .distributions import std_normal_cdf
 from .errors import ShapeError
 from .inference import FittedModel, e_step_m
-from .tensors import mode_k_product
+from .tensors import flat_positions, mode_k_product
 
 
 @dataclass
@@ -49,19 +49,19 @@ class PredictiveMoments:
     variance: float
 
 
+def _name(idx: Sequence[int]) -> str:
+    return "index (" + ", ".join(map(str, idx)) + ")"
+
+
 def _check_index(idx: Sequence[int], dims: Sequence[int]) -> None:
     """Raise for an index of the wrong order or with a component off the grid."""
-
-    def name() -> str:
-        return "(" + ", ".join(map(str, idx)) + ")"
-
     if len(idx) != len(dims):
-        raise ShapeError(f"index {name()}: order {len(idx)} != tensor order {len(dims)}")
+        raise ShapeError(f"{_name(idx)}: order {len(idx)} != tensor order {len(dims)}")
     for k, (i, n) in enumerate(zip(idx, dims)):
         if not isinstance(i, numbers.Integral):
-            raise IndexError(f"index {name()}: component {i!r} in mode {k} is not an integer")
-        if not 1 <= i <= n:
-            raise IndexError(f"index {name()}: component {i} out of range [1, {n}] in mode {k}")
+            raise IndexError(f"{_name(idx)}: component {i!r} in mode {k + 1} is not an integer")
+        if not 1 <= i <= n:  # components before k are on the grid, so the rule raises for k
+            flat_positions(np.array([idx[: k + 1]], dtype=object), dims[: k + 1], lambda r: _name(idx))
 
 
 def _flat_positions(indices: Iterable[Sequence[int]], dims: tuple[int, ...]) -> np.ndarray:
@@ -80,11 +80,7 @@ def _flat_positions(indices: Iterable[Sequence[int]], dims: tuple[int, ...]) -> 
         for idx in cells:
             _check_index(idx, dims)
         arr = np.array(cells, dtype=np.intp).reshape(len(cells), len(dims))
-    else:
-        bad = ((arr < 1) | (arr > np.asarray(dims))).any(axis=1)
-        if bad.any():
-            _check_index(cells[int(np.argmax(bad))], dims)
-    return np.ravel_multi_index(tuple(arr.T - 1), dims)
+    return flat_positions(arr, dims, lambda r: _name(cells[r]))
 
 
 def cross_covariance(model: FittedModel, idx: Sequence[int]) -> np.ndarray:

@@ -47,10 +47,11 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigError, ModelFormatError, TensorFormatError
+from .errors import ConfigError, IndexRangeError, ModelFormatError, TensorFormatError
 from .evaluate import ExperimentSpec
 from .inference import FittedModel, ModelConfig, VariationalState
 from .kernels import KernelSpec, gram_matrix
+from .tensors import flat_positions
 
 MODEL_FORMAT = "tensorgp-model"
 MODEL_VERSION = 2
@@ -144,27 +145,23 @@ def _parse_header(tokens: list[str], lineno: int) -> tuple[tuple[int, ...], bool
     return dims, dense
 
 
-def _flat_positions(idx: np.ndarray, dims: tuple[int, ...], where) -> np.ndarray:
-    """Flat grid positions of 1-based index rows, one row per record.
+def _record_positions(idx: np.ndarray, dims: tuple[int, ...], where) -> np.ndarray:
+    """Flat grid positions of a tensor file's index rows, one row per record.
 
-    The first out-of-range or duplicate record in file order raises, labelled
-    by ``where(r)`` for the 0-based record number r.
+    Beyond the range rule of :func:`flat_positions`, no cell may appear
+    twice.  The first fault in file order raises.
     """
-    bad = np.argwhere((idx < 1) | (idx > np.asarray(dims)))
-    first_bad = int(bad[0, 0]) if bad.size else len(idx)
-    # Records before the first out-of-range one are checked for duplicates,
-    # so whichever fault comes first in the file is the one reported.
-    flat = np.ravel_multi_index(tuple((idx[:first_bad].astype(np.intp) - 1).T), dims)
+    try:
+        flat, off_grid = flat_positions(idx, dims, where), None
+    except IndexRangeError as err:  # a repeat before the off-grid record comes first
+        flat, off_grid = flat_positions(idx[: err.row], dims, where), err
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
     if repeats.size:
         r = int(repeats.min())
         raise TensorFormatError(f"{where(r)}: duplicate index {tuple(idx[r].tolist())}")
-    if bad.size:
-        r, m = bad[0]
-        raise TensorFormatError(
-            f"{where(r)}: index {idx[r, m]} out of range [1, {dims[m]}] in mode {m + 1}"
-        )
+    if off_grid:
+        raise off_grid
     return flat
 
 
@@ -239,10 +236,10 @@ def _read_text(fh) -> tuple[np.ndarray, np.ndarray]:
         vals += block_vals
         lines += nums
     rows = np.frombuffer(idx, dtype=np.intc).reshape(-1, order)
-    flat = _flat_positions(rows, dims, lambda r: f"line {lines[r]}")
+    flat = _record_positions(rows, dims, lambda r: f"line {lines[r]}")
     if fault:
         if pending:  # a line whose indices parsed reports their range fault first
-            _flat_positions(np.array([pending]), dims, lambda r: f"line {lineno}")
+            flat_positions(np.array([pending]), dims, lambda r: f"line {lineno}")
         raise TensorFormatError(fault)
     return _grid(flat, np.frombuffer(vals), dims, dense)
 
@@ -281,7 +278,7 @@ def _read_binary(fh, first_line: bytes) -> tuple[np.ndarray, np.ndarray]:
     buf = fh.read()
     complete = min(count, len(buf) // dtype.itemsize)
     rec = np.frombuffer(buf, dtype=dtype, count=complete)
-    flat = _flat_positions(rec["idx"], dims, lambda r: f"record {r + 1}")
+    flat = _record_positions(rec["idx"], dims, lambda r: f"record {r + 1}")
     if complete < count:
         raise TensorFormatError(f"record {complete + 1}: truncated binary tensor file")
     if len(buf) > count * dtype.itemsize:
@@ -292,41 +289,36 @@ def _read_binary(fh, first_line: bytes) -> tuple[np.ndarray, np.ndarray]:
 def read_indices(path, dims: tuple[int, ...]) -> np.ndarray:
     """Read a file of 1-based indices, one per line; ``#`` starts a comment.
 
-    Returns an (m, K) integer array, one row per index in file order.
+    Returns the flat row-major grid position of each index, in file order;
+    an index may repeat.  The scan stops at the first line that cannot be
+    parsed, and the lines before it are range-checked first, so the fault
+    reported is the first one in the file.
     """
-    out = []
+    rows, lines, fault = [], [], None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            tokens = line.split()
             if len(tokens) != len(dims):
-                raise TensorFormatError(
-                    f"line {lineno}: expected {len(dims)} indices, got {len(tokens)}"
-                )
+                fault = f"line {lineno}: expected {len(dims)} indices, got {len(tokens)}"
+                break
             try:
-                idx = tuple(int(x) for x in tokens)
+                rows.append([int(x) for x in tokens])
             except ValueError:
-                raise TensorFormatError(f"line {lineno}: malformed index {' '.join(tokens)!r}") from None
-            for k, (i, d) in enumerate(zip(idx, dims)):
-                if not 1 <= i <= d:
-                    raise TensorFormatError(f"line {lineno}: index {i} out of range [1, {d}] in mode {k + 1}")
-            out.append(idx)
-    return np.array(out, dtype=np.intp).reshape(len(out), len(dims))
+                fault = f"line {lineno}: malformed index {' '.join(tokens)!r}"
+                break
+            lines.append(lineno)
+    idx = np.array(rows, dtype=object).reshape(len(rows), len(dims))
+    flat = flat_positions(idx, dims, lambda r: f"line {lines[r]}")
+    if fault:
+        raise TensorFormatError(fault)
+    return flat
 
 
 # ---------------------------------------------------------------------------
 # Model serialization
 # ---------------------------------------------------------------------------
-
-
-def _config_from_dict(d: dict) -> ModelConfig:
-    # Files written before these options were removed still carry them.
-    d.pop("truncation_energy", None)
-    d.pop("n_restarts", None)
-    d["kernel"] = KernelSpec(**d["kernel"])
-    return ModelConfig(**d)
 
 
 def _write_json_list(fh, a: np.ndarray) -> None:
@@ -377,13 +369,12 @@ def load_model(path) -> FittedModel:
         raise ModelFormatError(f"corrupt model file {path}: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
-    # Version 1 also stored mu, ups_diag and zbar_loc, which prediction never reads.
-    if payload.get("version") not in (1, MODEL_VERSION):
+    if payload.get("version") != MODEL_VERSION:
         raise ModelFormatError(
             f"model version {payload.get('version')} is incompatible with {MODEL_VERSION}"
         )
     try:
-        config = _config_from_dict(payload["config"])
+        config = ModelConfig(**{**payload["config"], "kernel": KernelSpec(**payload["config"]["kernel"])})
         dims = tuple(payload["dims"])
         factors = [np.asarray(u, dtype=np.float64) for u in payload["factors"]]
         s = payload["state"]

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import IndexRangeError, ShapeError
 
 
 def as_tensor(values) -> np.ndarray:
@@ -44,6 +44,19 @@ def multi_index(j: int, dims: Sequence[int]) -> tuple[int, ...]:
         out.append(rem % size + 1)
         rem //= size
     return tuple(reversed(out))
+
+
+def flat_positions(idx: np.ndarray, dims: Sequence[int], where) -> np.ndarray:
+    """Row-major flat grid positions of the 1-based rows of the (m, K) ``idx``.
+
+    Rows may repeat.  The first row off the grid raises :class:`IndexRangeError`,
+    labelled ``where(r)`` for its 0-based row r, with modes numbered from 1.
+    """
+    bad = (idx < 1) | (idx > np.asarray(dims))
+    if bad.any():
+        r, m = np.argwhere(bad)[0].tolist()
+        raise IndexRangeError(f"{where(r)}: index {idx[r, m]} out of range [1, {dims[m]}] in mode {m + 1}", r)
+    return np.ravel_multi_index(tuple((idx.astype(np.intp) - 1).T), dims)
 
 
 def mode_k_product(t: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:

@@ -15,11 +15,11 @@ import pytest
 import tensorgp
 from tensorgp import tensorio
 from tensorgp.cli import main
-from tensorgp.errors import ConfigError, ModelFormatError, TensorFormatError
+from tensorgp.errors import ConfigError, IndexRangeError, ModelFormatError, TensorFormatError
 from tensorgp.evaluate import ExperimentSpec, random_mask
 from tensorgp.inference import ModelConfig, fit
 from tensorgp.kernels import KernelSpec
-from tensorgp.prediction import predict_batch
+from tensorgp.prediction import predict_batch, predictive_moments
 from tensorgp.tensorio import (
     _BLOCK_ROWS as BLOCK,
     _EXPERIMENT_KEYS,
@@ -304,6 +304,35 @@ def test_text_and_binary_report_the_same_fault(tmp_path, header, records, at, fa
         assert messages == [f"line {at + 2}: {fault}", f"record {at + 1}: {fault}"]
 
 
+def test_every_index_path_gives_the_same_range_message(rng, tmp_path, capsys):
+    """Tensor files, index files and prediction share one range rule and message."""
+    config = ModelConfig(noise="gaussian", rank=1, kernel=KernelSpec("gaussian", 0.3), max_em_iters=1)
+    model = fit(rng.normal(size=(2, 2)), np.ones((2, 2), dtype=bool), config)
+    save_model(tmp_path / "m.json", model)
+    text, binary, indices = tmp_path / "t.tensor", tmp_path / "t.bin", tmp_path / "idx.txt"
+    text.write_text("tensor 2 2 2\n1 1 1.0\n2 3 2.0\n")
+    _binary_file(binary, "tensorbin 2 2 2", [(1, 1, 1.0), (2, 3, 2.0)])
+    indices.write_text("1 1\n2 3\n")
+    messages = []
+    for call in (
+        lambda: read_tensor(text),
+        lambda: read_tensor(binary),
+        lambda: predict_batch(model, [(1, 1), (2, 3)]),
+        lambda: predictive_moments(model, (2, 3)),
+    ):
+        with pytest.raises(IndexRangeError) as err:
+            call()
+        messages.append(str(err.value))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(tmp_path / "m.json"), "--indices", str(indices),
+                 "--out", str(tmp_path / "p.txt")]) == 1
+    messages.append(capsys.readouterr().err.strip().removeprefix("error: "))
+    assert messages == [
+        f"{label}: index 3 out of range [1, 2] in mode 2"
+        for label in ("line 3", "record 2", "index (2, 3)", "index (2, 3)", "line 2")
+    ]
+
+
 class TestModelSerialization:
     def _fitted(self, rng):
         y = rng.normal(size=(4, 4, 4))
@@ -340,19 +369,6 @@ class TestModelSerialization:
         for ma, mb in zip(a, b):
             assert ma.mean == mb.mean
             assert ma.variance == mb.variance
-
-    def test_removed_config_keys_still_load(self, rng, tmp_path):
-        model = self._fitted(rng)
-        path = tmp_path / "m.json"
-        save_model(path, model)
-        payload = json.loads(path.read_text())
-        payload["config"].update({"truncation_energy": 1.0, "n_restarts": 1})
-        path.write_text(json.dumps(payload))
-        loaded = load_model(path)
-        idx = [multi_index(j + 1, model.dims) for j in np.flatnonzero(~model.mask.ravel())]
-        a = predict_batch(model, idx)
-        b = predict_batch(loaded, idx)
-        assert [(m.mean, m.variance) for m in a] == [(m.mean, m.variance) for m in b]
 
     def test_payload_holds_only_what_prediction_reads(self, rng, tmp_path):
         path = tmp_path / "m.json"
@@ -394,39 +410,21 @@ class TestModelSerialization:
         save_model(path, model)
         assert path.read_text() == json.dumps(payload) + "\n"
 
-    def test_version_1_file_loads_bit_identically(self, rng, tmp_path):
-        model = self._fitted(rng)
-        path = tmp_path / "m.json"
-        save_model(path, model)
-        payload = json.loads(path.read_text())
-        payload["version"] = 1
-        payload["state"].update(
-            mu=model.state.mu.tolist(),
-            ups_diag=model.state.ups_diag.tolist(),
-            zbar_loc=model.state.zbar_loc.tolist(),
-        )
-        path.write_text(json.dumps(payload))
-        loaded = load_model(path)
-        assert loaded.state.mu is None
-        idx = [multi_index(j + 1, model.dims) for j in np.flatnonzero(~model.mask.ravel())]
-        a = predict_batch(model, idx)
-        b = predict_batch(loaded, idx)
-        assert [(m.mean, m.variance) for m in a] == [(m.mean, m.variance) for m in b]
-
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{ not json")
         with pytest.raises(ModelFormatError, match="corrupt"):
             load_model(path)
 
-    def test_version_mismatch(self, rng, tmp_path):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_version_mismatch(self, rng, tmp_path, version):
         model = self._fitted(rng)
         path = tmp_path / "m.json"
         save_model(path, model)
         payload = json.loads(path.read_text())
-        payload["version"] = 999
+        payload["version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(ModelFormatError, match=f"model version {version} is incompatible with 2"):
             load_model(path)
 
     def test_wrong_format_tag(self, tmp_path):
@@ -819,7 +817,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "content, message",
-        [("1 1\n1 x\n", "line 2: malformed index"), ("1 1\n\n2 5\n", "line 3: index 5 out of range")],
+        [
+            ("1 1\n1 x\n", "line 2: malformed index"),
+            ("1 1\n\n2 5\n", "line 3: index 5 out of range"),
+            # a range fault before a line that does not parse is the one reported
+            ("1 1\n9 1\n1 x\n", "line 2: index 9 out of range [1, 4] in mode 1"),
+            ("1 1\n1 5\n1 1 1\n", "line 2: index 5 out of range [1, 4] in mode 2"),
+        ],
     )
     def test_bad_index_file(self, tmp_path, capsys, content, message):
         cfg = self._write_config(tmp_path)

@@ -310,10 +310,10 @@ class TestBatchIndices:
         [
             ([(1, 1), (2, 2, 1), (4, 1)], ShapeError, r"index \(2, 2, 1\): order 3 != tensor order 2"),
             ([(1, 1), (1,)], ShapeError, r"index \(1\): order 1 != tensor order 2"),
-            ([(1, 1), (4, 1), (1, 9)], IndexError, r"index \(4, 1\): component 4 out of range \[1, 3\] in mode 0"),
-            ([(1, 1), (1, 0), (2, 2, 1)], IndexError, r"index \(1, 0\): component 0 out of range \[1, 4\] in mode 1"),
-            ([(3, 4), (0, 9)], IndexError, r"index \(0, 9\): component 0 out of range \[1, 3\] in mode 0"),
-            ([(1, 1), (1.0, 2)], IndexError, r"index \(1.0, 2\): component 1.0 in mode 0 is not an integer"),
+            ([(1, 1), (4, 1), (1, 9)], IndexError, r"index \(4, 1\): index 4 out of range \[1, 3\] in mode 1"),
+            ([(1, 1), (1, 0), (2, 2, 1)], IndexError, r"index \(1, 0\): index 0 out of range \[1, 4\] in mode 2"),
+            ([(3, 4), (0, 9)], IndexError, r"index \(0, 9\): index 0 out of range \[1, 3\] in mode 1"),
+            ([(1, 1), (1.0, 2)], IndexError, r"index \(1.0, 2\): component 1.0 in mode 1 is not an integer"),
         ],
     )
     def test_first_bad_index_in_input_order(self, model, cells, error, message):
