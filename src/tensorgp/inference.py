@@ -34,7 +34,20 @@ unobserved target cells are refilled with the current posterior mean every
 cycle, which is exactly the coordinate update of an auxiliary posterior over
 the missing observations.  The tracked objective is the full negative free
 energy of that extended model, so it is non-increasing across EM cycles up
-to round-off.
+to round-off.  In closed form, with n_obs observed cells and f(U) the M-step
+objective at the new Grams,
+
+    F = n_obs/2 log(2 pi rho^2) - sum_obs H_z
+      + [sum (ez - mu)^2 + sum D + sum_obs v_z] / (2 rho^2)
+      + [f(U) - n - sum log D] / 2
+      + beta1 log beta2 - beta1 - lnGamma(beta1)           (t process only)
+      - nu/2 log(nu/2) + lnGamma(nu/2) + nu/2 tau          (t process only)
+
+For probit, v_z = 1 + loc ez - ez^2 and H_z are the variance and entropy of
+the truncated-normal q(z) on observed cells; for Gaussian noise both are 0
+and ez = y there, so one fit term serves both noise models.  Each missing
+cell's auxiliary terms cancel to its imputation residual (ez - mu)^2, and
+beta1 = (nu + n)/2 after every E-step cancels every E[log eta] term.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln, log_ndtr
+from scipy.special import gammaln, log_ndtr
 
 from .distributions import LOG_2PI, truncated_normal_mean
 from .errors import NumericalError, ShapeError
@@ -168,10 +181,17 @@ class FittedModel:
         return tuple(g.size for g in self.mode_grams)
 
     @property
+    def last_rel_change(self) -> float:
+        """|f_-2 - f_-1| / max(1, |f_-2|) over the last EM cycle; nan before two cycles."""
+        trace = self.objective_trace
+        if len(trace) < 2:
+            return math.nan
+        return abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2]))
+
+    @property
     def converged(self) -> bool:
-        """The EM stop rule: the last cycle's change is at most em_rel_tol * max(1, |previous|)."""
-        trace, rel_tol = self.objective_trace, self.config.em_rel_tol
-        return len(trace) > 1 and abs(trace[-2] - trace[-1]) <= rel_tol * max(1.0, abs(trace[-2]))
+        """The EM stop rule: the last relative change is at most em_rel_tol (False before two cycles)."""
+        return self.last_rel_change <= self.config.em_rel_tol
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +438,6 @@ def optimize_factors(
 # ---------------------------------------------------------------------------
 
 
-def _gamma_entropy(a: float, b: float) -> float:
-    return a - math.log(b) + float(gammaln(a)) + (1.0 - a) * float(digamma(a))
-
-
 def _truncnorm_entropies(loc: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Entropy of N(loc, 1) truncated to the side selected by y, entrywise."""
     sign = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
@@ -437,54 +453,27 @@ def tracked_objective(y: np.ndarray, model: FittedModel) -> float:
     Every E-step update is an exact coordinate minimizer of this quantity and
     the M-step minimizes twice its U-dependent part, so it is non-increasing
     across full EM cycles up to round-off.  Constants independent of both q
-    and U (the Laplace prior normalizer) are dropped.
+    and U (the Laplace prior normalizer) are dropped.  This is the closed
+    form given in the module docstring.  It holds only under the invariant
+    beta1 = (nu + n)/2, which every E-step sets (:func:`e_step_eta`) and which
+    cancels the t process's E[log eta] terms.
     """
-    config, mask, factors, state = model.config, model.mask, model.factors, model.state
-    n = state.mu.size
-    mu = state.mu
-    sum_d = float(np.sum(state.ups_diag))
-    sum_log_d = float(np.sum(np.log(state.ups_diag)))
-    n_missing = int(np.sum(~mask))
-
+    config, mask, state = model.config, model.mask, model.state
+    rho2 = config.rho**2
+    spread = float(np.sum((state.ez - state.mu) ** 2)) + float(np.sum(state.ups_diag))
+    total = 0.5 * int(np.sum(mask)) * math.log(2.0 * math.pi * rho2)
     if config.noise == "probit":
-        loc = state.zbar_loc
-        ez = state.ez
-        # E[z^2] = 1 + loc * E[z] for one-sided truncation and for the
-        # unobserved free cells alike.
-        expected_sq = np.sum(1.0 + loc * ez - 2.0 * ez * mu + mu * mu)
-        fit_term = 0.5 * n * LOG_2PI + 0.5 * (float(expected_sq) + sum_d)
-        ent = float(np.sum(_truncnorm_entropies(loc[mask], y[mask])))
-        ent += n_missing * 0.5 * (LOG_2PI + 1.0)
-        neg_entropy_z = -ent
-    else:
-        s2 = config.gaussian_sigma**2
-        resid_obs = float(np.sum((y[mask] - mu[mask]) ** 2))
-        resid_miss = float(np.sum((state.ez[~mask] - mu[~mask]) ** 2)) + n_missing * s2
-        fit_term = 0.5 * n * math.log(2.0 * math.pi * s2)
-        fit_term += (resid_obs + resid_miss + sum_d) / (2.0 * s2)
-        neg_entropy_z = -n_missing * 0.5 * (math.log(2.0 * math.pi * s2) + 1.0)
-
+        loc, ez = state.zbar_loc[mask], state.ez[mask]
+        spread += float(np.sum(1.0 + loc * ez - ez * ez))
+        total -= float(np.sum(_truncnorm_entropies(loc, y[mask])))
+    total += spread / (2.0 * rho2)
+    f_u = _m_step_smooth(model.factors, state, config, new_grams=model.mode_grams)
+    f_u += config.l1_lambda * sum(float(np.abs(u).sum()) for u in model.factors)
+    total += 0.5 * (f_u - state.mu.size - float(np.sum(np.log(state.ups_diag))))
     if config.process == "t_process":
-        e_log_eta = float(digamma(state.beta1)) - math.log(state.beta2)
-    else:
-        e_log_eta = 0.0
-    # log-det + tau * (quad + trace); for the GP, state.tau stays 1.
-    prior_m = 0.5 * n * LOG_2PI - 0.5 * n * e_log_eta
-    prior_m += 0.5 * _m_step_smooth(factors, state, config, new_grams=model.mode_grams)
-    neg_entropy_m = -0.5 * n * (LOG_2PI + 1.0) - 0.5 * sum_log_d
-
-    total = fit_term + prior_m + neg_entropy_z + neg_entropy_m
-    total += 0.5 * config.l1_lambda * sum(float(np.abs(u).sum()) for u in factors)
-
-    if config.process == "t_process":
-        nu = config.nu
-        prior_eta = (
-            -0.5 * nu * math.log(0.5 * nu)
-            + float(gammaln(0.5 * nu))
-            - (0.5 * nu - 1.0) * e_log_eta
-            + 0.5 * nu * state.tau
-        )
-        total += prior_eta - _gamma_entropy(state.beta1, state.beta2)
+        half_nu, beta1 = 0.5 * config.nu, state.beta1
+        total += beta1 * math.log(state.beta2) - beta1 - float(gammaln(beta1))
+        total += -half_nu * math.log(half_nu) + float(gammaln(half_nu)) + half_nu * state.tau
     return float(total)
 
 

@@ -239,7 +239,7 @@ def _read_text(fh) -> tuple[np.ndarray, np.ndarray]:
     flat = _record_positions(rows, dims, lambda r: f"line {lines[r]}")
     if fault:
         if pending:  # a line whose indices parsed reports their range fault first
-            flat_positions(np.array([pending]), dims, lambda r: f"line {lineno}")
+            flat_positions(np.array([pending], dtype=object), dims, lambda r: f"line {lineno}")
         raise TensorFormatError(fault)
     return _grid(flat, np.frombuffer(vals), dims, dense)
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from conftest import rel_err
 from tensorgp import inference, kernels, oracle
@@ -658,3 +659,84 @@ class TestEMSteps:
         model = fit(y, mask, config)
         assert len(model.objective_trace) == cycles
         assert model.converged is converged
+        assert math.isnan(model.last_rel_change) == (cycles < 2)
+
+
+def _dense_free_energy(y, model):
+    """The extended model's negative free energy, written out term by term densely.
+
+    Every cell carries an auxiliary variable: the probit z (truncated normal on
+    observed cells, N(loc, 1) on missing ones), or for Gaussian noise the
+    missing observation itself, with q = N(ez, rho^2).  Expectations and
+    entropies come from scipy.stats; the Gaussian prior and q(M) from dense
+    solves and log-determinants.
+    """
+    config, state, mask = model.config, model.state, model.mask.ravel()
+    n, rho2 = y.size, config.rho**2
+    mu = state.mu.ravel()
+    v_old = oracle.dense_kron([g.eigvecs for g in state.basis])
+    ups = (v_old * state.ups_diag.ravel()) @ v_old.T
+    sigma_p = oracle.dense_kron([g.gram for g in model.mode_grams])
+
+    if config.noise == "probit":
+        loc, ones = state.zbar_loc.ravel(), y.ravel() == 1.0
+        # z > 0 where y = 1 and z <= 0 where y = 0, in standardized bounds.
+        # The open side stops at least 40 sd out, where the density underflows
+        # to 0: scipy's truncnorm entropy is nan at an infinite bound (inf * 0).
+        far = 40.0 + np.abs(loc)
+        q_obs = stats.truncnorm(np.where(ones, -loc, -far), np.where(ones, far, -loc), loc=loc)
+        q_miss = stats.norm(loc)
+        mean = np.where(mask, q_obs.mean(), q_miss.mean())
+        var = np.where(mask, q_obs.var(), q_miss.var())
+        entropy = np.where(mask, q_obs.entropy(), q_miss.entropy())
+    else:
+        q_miss = stats.norm(state.ez.ravel(), math.sqrt(rho2))
+        mean = np.where(mask, y.ravel(), state.ez.ravel())
+        var = np.where(mask, 0.0, q_miss.var())
+        entropy = np.where(mask, 0.0, q_miss.entropy())
+    # -E log p(z | M) - H[q(z)], cell by cell
+    free = float(np.sum(
+        0.5 * math.log(2 * math.pi * rho2)
+        + (var + (mean - mu) ** 2 + np.diag(ups)) / (2 * rho2)
+        - entropy
+    ))
+
+    e_eta, e_log_eta = 1.0, 0.0
+    if config.process == "t_process":
+        q_eta = stats.gamma(state.beta1, scale=1.0 / state.beta2)
+        e_eta = q_eta.mean()
+        e_log_eta = special.digamma(state.beta1) - math.log(state.beta2)
+        half = 0.5 * config.nu
+        # -E log Gamma(eta; nu/2, rate nu/2) - H[q(eta)]
+        free += (-half * math.log(half) + special.gammaln(half)
+                 - (half - 1.0) * e_log_eta + half * e_eta - q_eta.entropy())
+
+    # -E log N(vec M; 0, S_p / eta) - H[q(M)]
+    logdet_p = np.linalg.slogdet(sigma_p)[1]
+    logdet_ups = np.linalg.slogdet(ups)[1]
+    quad = mu @ np.linalg.solve(sigma_p, mu)
+    trace = np.trace(np.linalg.solve(sigma_p, ups))
+    free += 0.5 * (n * math.log(2 * math.pi) + logdet_p - n * e_log_eta + e_eta * (quad + trace))
+    free -= 0.5 * (n * (math.log(2 * math.pi) + 1.0) + logdet_ups)
+    return free + 0.5 * config.l1_lambda * sum(float(np.abs(u).sum()) for u in model.factors)
+
+
+class TestTrackedObjective:
+    @pytest.mark.parametrize("noise", ["gaussian", "probit"])
+    @pytest.mark.parametrize("process", ["gaussian_process", "t_process"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dense_free_energy(self, noise, process, seed):
+        rng = np.random.default_rng(seed)
+        dims = (4, 4, 3)
+        y = rng.normal(size=dims)
+        if noise == "probit":
+            y = (y > 0).astype(float)
+        mask = rng.random(dims) >= 0.3
+        config = ModelConfig(
+            noise=noise, process=process, nu=6.0, rank=2, kernel=KernelSpec("gaussian", 0.4),
+            l1_lambda=0.3, gaussian_sigma=0.6, max_em_iters=3, em_rel_tol=0.0,
+            mstep_max_iters=10, seed=seed,
+        )
+        model = fit(y, mask, config)
+        assert tracked_objective(y, model) == model.objective_trace[-1]
+        assert rel_err(model.objective_trace[-1], _dense_free_energy(y, model)) <= 1e-9

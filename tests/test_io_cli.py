@@ -107,6 +107,11 @@ class TestTensorFiles:
              "line 3: index 10000000000000000000000 out of range [1, 2] in mode 2"),
             ("2 2 1.0\n3 x 1.0\n", "line 3: malformed index '3 x'"),
             ("1 1 abc\n1 1\n", "line 2: malformed record '1 1 abc'"),
+            # An index at or past 2**63 beside an ordinary one, on a record
+            # whose value fails to convert: both print as written.
+            ("-1 9223372036854775808 x\n", "line 2: index -1 out of range [1, 2] in mode 1"),
+            ("1 9223372036854775808 x\n",
+             "line 2: index 9223372036854775808 out of range [1, 2] in mode 2"),
             # Bodies longer than one reader block; the header is line 1, so
             # the second block starts at line BLOCK + 2.
             pytest.param("1 1 1.0\n" + "# filler\n" * BLOCK + "1 1 2.0\n",
@@ -595,8 +600,10 @@ class TestCli:
         )
         return cfg
 
-    def test_synth_fit_predict_pipeline(self, tmp_path, capsys):
+    @pytest.mark.parametrize("process", ["gaussian_process", "t_process"])
+    def test_synth_fit_predict_pipeline(self, tmp_path, capsys, process):
         cfg = self._write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("process = gaussian_process", f"process = {process}"))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
         assert main(
             [
